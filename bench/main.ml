@@ -693,10 +693,9 @@ let batch_bench () =
    constants — the publish/subscribe regime {!Ses_core.Multi}'s shared
    plan targets. Independent execution routes every event through every
    query's own filter; the shared plan evaluates the distinct constant
-   atoms once per event in the predicate index and wakes only the
-   queries the event can affect, with byte-identical registrations
-   collapsed and common prefixes merged. The two legs must produce the
-   same per-query matches; the wall-clock ratio is the headline. *)
+   atoms once per event in the predicate index and feeds only the
+   queries the event can affect. The two legs must produce the same
+   per-query matches; the wall-clock ratio is the headline. *)
 
 let multi_bench () =
   let module RW = Ses_gen.Random_workload in
@@ -791,9 +790,7 @@ let multi_bench () =
       \  \"independent_s\": %.6f, \"shared_s\": %.6f, \"speedup\": %.2f,\n\
       \  \"events_per_sec\": {\"independent\": %.0f, \"shared\": %.0f},\n\
       \  \"matches_equal\": %b,\n\
-      \  \"sharing\": {\"merged_groups\": %d, \"merged_queries\": %d,\n\
-      \              \"aliased_queries\": %d,\n\
-      \              \"template_group_sizes\": [%s]},\n\
+      \  \"sharing\": {\"template_group_sizes\": [%s]},\n\
       \  \"predicate_index\": {\"atoms\": %d, \"evaluated\": %d, \"saved\": \
        %d,\n\
       \                      \"hit_rate\": %.4f}\n\
@@ -803,8 +800,7 @@ let multi_bench () =
       ind_s sh_s (ind_s /. sh_s)
       (float_of_int n_events /. ind_s)
       (float_of_int n_events /. sh_s)
-      matches_equal stats.SP.st_merged_groups stats.SP.st_merged_queries
-      stats.SP.st_aliased_queries
+      matches_equal
       (String.concat ", " (List.map string_of_int group_counts))
       stats.SP.st_index_atoms stats.SP.st_index_evaluated
       stats.SP.st_index_saved stats.SP.st_index_hit_rate

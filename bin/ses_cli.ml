@@ -226,9 +226,8 @@ let domains_arg =
           "Worker domains for the executors that can use them (default 1 = \
            sequential). With N > 1 the partitioned and auto strategies \
            shard their per-key pools across N OCaml domains when the \
-           pattern is partitionable; the par-partitioned strategy defaults \
-           to the machine's core count when this is left at 1. Matching \
-           output is identical to the sequential run.")
+           pattern is partitionable. Matching output is identical to the \
+           sequential run.")
 
 let batch_arg =
   Arg.(
@@ -336,11 +335,7 @@ let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
     List.iter
       (fun (s : Ses_core.Shared_plan.stats) ->
         Format.printf
-          "shared plan: %d merged group(s) covering %d quer(ies), %d \
-           alias(es), %d indexed atom(s), index hit rate %.4f@."
-          s.Ses_core.Shared_plan.st_merged_groups
-          s.Ses_core.Shared_plan.st_merged_queries
-          s.Ses_core.Shared_plan.st_aliased_queries
+          "shared plan: %d indexed atom(s), index hit rate %.4f@."
           s.Ses_core.Shared_plan.st_index_atoms
           s.Ses_core.Shared_plan.st_index_hit_rate)
       (Ses_core.Multi.shared_stats t)

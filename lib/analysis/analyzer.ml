@@ -899,10 +899,3 @@ let to_planner (r : result) =
   }
 
 let register () = Planner.set_analyzer (fun a -> to_planner (analyze a))
-
-(* The canonical signature of what a planned execution of this result
-   actually runs: the pruned automaton, which is what the shared
-   multi-query plan merges on. Equal signatures mean structurally
-   identical automata after pruning, even when the source queries
-   differed only in dead conditions. *)
-let signature (r : result) = Query_sig.full r.automaton

@@ -80,10 +80,3 @@ val register : unit -> unit
 (** Installs the analyzer as {!Ses_core.Planner.set_analyzer}, so
     planned executions prune dead transitions and adopt the inferred
     filter constants. *)
-
-val signature : result -> string
-(** Canonical signature ({!Ses_core.Query_sig.full}) of the {e pruned}
-    automaton — the automaton a planned execution runs. Queries whose
-    analyses share a signature are structurally identical after pruning,
-    so {!Ses_core.Multi}'s shared plan can alias or prefix-merge them
-    even when the written queries differ in analyzer-removable parts. *)

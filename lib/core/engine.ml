@@ -590,14 +590,15 @@ let feed st e =
    feeding the events one by one, with two amortizations that are
    invisible to the (multiset of) emissions and finalized matches:
 
-   - τ-expiry prefixes are popped once per batch (against the batch's
-     first timestamp) instead of once per nonempty bucket per event;
-     an instance whose window closes mid-batch is caught by the fused
+   - τ-expiry prefixes are popped once per batch, at its end, against
+     the last kept event, instead of once per nonempty bucket per event.
+     An instance whose window closes mid-batch is caught by the fused
      expiry check the moment its bucket is scanned — so it can never
-     consume an event — and otherwise sits passively until the next
-     sweep, [close], or a later scan emits it. Only the *position* of
-     such an emission in the raw stream can differ from the one-by-one
-     order, never its presence.
+     consume an event — and otherwise by the closing sweep. Either way
+     it is emitted within the batch whose event closed its window, as
+     the one-by-one feed does: each chunk returns the same multiset of
+     emissions and counts the same expiries. Only the *position* of an
+     expiry emission within the chunk's raw list can differ.
 
    - telemetry records per batch: one expiry span for the sweep, one
      transition span covering the whole kept loop (every event's bucket
@@ -616,27 +617,10 @@ let feed_indexed_batch st store kept n_kept =
       (Expired { event = e; accepting; buffer = substitution_of inst });
     if accepting then completed := emit st inst :: !completed
   in
-  (* Batch-start expiry sweep: one prefix pop per nonempty bucket. *)
-  let e0 = kept.(0) in
-  let tok =
-    match st.probes with
-    | None -> 0
-    | Some p -> Telemetry.Span.start p.expiry_span
-  in
-  Array.iter
-    (fun slot ->
-      let bucket = bucket_of slot in
-      if Instance_store.handle_size bucket > 0 then
-        List.iter (emit_expired e0 slot)
-          (Instance_store.pop_expired_h bucket ~expired:(fun inst ->
-               expired tau inst e0)))
-    st.slots;
-  (match st.probes with
-  | None -> ()
-  | Some p -> Telemetry.Span.stop p.expiry_span tok);
   let stage_succ pt succ = Instance_store.stage_h pt.tgt_bucket succ in
   (* One transition span covers the whole kept loop — per-batch probe
-     granularity, like the expiry sweep and the filter pass above. *)
+     granularity, like the filter pass above and the expiry sweep
+     below. *)
   let tok =
     match st.probes with
     | None -> 0
@@ -680,8 +664,27 @@ let feed_indexed_batch st store kept n_kept =
   done;
   (match st.probes with
   | None -> ()
+  | Some p -> Telemetry.Span.stop p.transition_span tok);
+  (* Batch-end expiry sweep: one prefix pop per nonempty bucket, against
+     the last kept event — what the one-by-one feed has expired by then. *)
+  let last = kept.(n_kept - 1) in
+  let tok =
+    match st.probes with
+    | None -> 0
+    | Some p -> Telemetry.Span.start p.expiry_span
+  in
+  Array.iter
+    (fun slot ->
+      let bucket = bucket_of slot in
+      if Instance_store.handle_size bucket > 0 then
+        List.iter (emit_expired last slot)
+          (Instance_store.pop_expired_h bucket ~expired:(fun inst ->
+               expired tau inst last)))
+    st.slots;
+  (match st.probes with
+  | None -> ()
   | Some p ->
-      Telemetry.Span.stop p.transition_span tok;
+      Telemetry.Span.stop p.expiry_span tok;
       Telemetry.Gauge.observe p.population_gauge (Instance_store.size store));
   List.rev !completed
 

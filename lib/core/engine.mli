@@ -146,13 +146,15 @@ val feed_batch : stream -> Event.t array -> Substitution.t list
     multiset of raw emissions, same layout-invariant metrics — with the
     per-event overheads amortized: the event filter runs in one pass
     over the chunk, constant-precheck caches are stamped instead of
-    reset, τ-expired prefixes are popped once per batch (instances whose
-    window closes mid-batch are caught before they can consume an
-    event), and telemetry probes record per batch. Within a batch the
-    {e position} of an expiry emission in the raw stream may differ
-    from the one-by-one order; its presence never does. With an observer
-    installed the engine processes the chunk event by event so narration
-    order stays exact. *)
+    reset, τ-expired prefixes are popped once per batch, at its end
+    (instances whose window closes mid-batch are caught before they can
+    consume an event), and telemetry probes record per batch. The chunk
+    returns the same multiset of raw emissions as feeding its events one
+    at a time, and [instances_expired] agrees at every chunk boundary;
+    only the {e position} of an expiry emission within the chunk's list
+    may differ, and the sampled population peak may read higher. With an
+    observer installed the engine processes the chunk event by event so
+    narration order stays exact. *)
 
 val close : stream -> Substitution.t list
 

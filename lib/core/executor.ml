@@ -1,42 +1,29 @@
 open Ses_event
 
-type strategy =
-  [ `Auto | `Plain | `Partitioned | `Par_partitioned | `Naive | `Brute_force ]
+type strategy = [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
 
 let strategies : strategy list =
-  [ `Auto; `Plain; `Partitioned; `Par_partitioned; `Naive; `Brute_force ]
+  [ `Auto; `Plain; `Partitioned; `Naive; `Brute_force ]
 
 let strategy_name = function
   | `Auto -> "auto"
   | `Plain -> "plain"
   | `Partitioned -> "partitioned"
-  | `Par_partitioned -> "par-partitioned"
   | `Naive -> "naive"
   | `Brute_force -> "brute-force"
-
-(* Strategies whose executors may be fed the routed subsequence of the
-   stream by {!Multi}'s shared plan: those whose per-event behaviour on a
-   strong-clause-failing event is provably limited to expiry sweeps and
-   fresh-instance accounting. The pool-splitting strategies keep their
-   own per-key/per-shard accounting and the oracle baselines count
-   differently, so they always see the whole feed. *)
-let supports_shared_routing = function
-  | `Plain | `Auto -> true
-  | `Partitioned | `Par_partitioned | `Naive | `Brute_force -> false
 
 let strategy_of_string s =
   match String.lowercase_ascii s with
   | "auto" -> Ok `Auto
   | "plain" | "engine" -> Ok `Plain
   | "partitioned" -> Ok `Partitioned
-  | "par-partitioned" | "par_partitioned" | "parallel" -> Ok `Par_partitioned
   | "naive" -> Ok `Naive
   | "brute-force" | "brute_force" | "bf" -> Ok `Brute_force
   | other ->
       Error
         (Printf.sprintf
-           "unknown strategy %S (expected auto, plain, partitioned, \
-            par-partitioned, naive or brute-force)"
+           "unknown strategy %S (expected auto, plain, partitioned, naive \
+            or brute-force)"
            other)
 
 module type EXECUTOR = sig
@@ -92,35 +79,6 @@ module Partitioned_exec : EXECUTOR = struct
   let name = "partitioned"
 
   let create ?options automaton = Partitioned.create ?options automaton
-
-  let feed = Partitioned.feed
-
-  let feed_batch = Partitioned.feed_batch
-
-  let close = Partitioned.close
-
-  let emitted = Partitioned.emitted
-
-  let population = Partitioned.population
-
-  let metrics = Partitioned.metrics
-end
-
-(* [`Partitioned] with parallelism made unconditional: when the caller
-   did not ask for a specific domain count through the options, shard
-   across the machine's recommended count. Everything else — key
-   detection, single-pool fallback — is [Partitioned.create]. *)
-module Par_partitioned_exec : EXECUTOR = struct
-  type t = Partitioned.stream
-
-  let name = "par-partitioned"
-
-  let create ?(options = Engine.default_options) automaton =
-    let domains =
-      if options.Engine.domains > 1 then options.Engine.domains
-      else Domain_pool.recommended ()
-    in
-    Partitioned.create ~options:{ options with Engine.domains } automaton
 
   let feed = Partitioned.feed
 
@@ -248,14 +206,12 @@ let register_brute_force m = brute_force := Some m
 module Auto_i = Instrument (Auto)
 module Plain_i = Instrument (Plain)
 module Partitioned_i = Instrument (Partitioned_exec)
-module Par_partitioned_i = Instrument (Par_partitioned_exec)
 module Naive_i = Instrument (Naive_exec)
 
 let of_strategy : strategy -> (module EXECUTOR) = function
   | `Auto -> (module Auto_i)
   | `Plain -> (module Plain_i)
   | `Partitioned -> (module Partitioned_i)
-  | `Par_partitioned -> (module Par_partitioned_i)
   | `Naive -> (module Naive_i)
   | `Brute_force -> (
       match !brute_force with

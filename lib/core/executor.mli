@@ -19,33 +19,24 @@
 
 open Ses_event
 
-type strategy =
-  [ `Auto | `Plain | `Partitioned | `Par_partitioned | `Naive | `Brute_force ]
+type strategy = [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
 (** [`Auto] runs {!Planner.plan}'s choice of levers; [`Plain] the bare
     {!Engine}; [`Partitioned] per-key pools (with single-pool fallback);
-    [`Par_partitioned] per-key pools sharded across worker domains —
-    [options.domains] of them when > 1, else the machine's recommended
-    count (see {!Partitioned} for the sharded-mode contract: [feed]
-    returns [[]], reads quiesce, fall back to one sequential pool on
-    non-partitionable patterns); [`Naive] the exhaustive Definition 2
-    oracle; [`Brute_force] the one-automaton-per-ordering baseline of
-    Sec. 5.2.
+    [`Naive] the exhaustive Definition 2 oracle; [`Brute_force] the
+    one-automaton-per-ordering baseline of Sec. 5.2.
 
-    [`Auto] and [`Partitioned] also shard when [options.domains > 1]:
-    the domain count rides on {!Engine.options} so the planner, the
-    stream runner and the CLI pick it up with no call-site changes. *)
+    [`Auto] and [`Partitioned] shard their per-key pools across worker
+    domains when [options.domains > 1] (see {!Partitioned} for the
+    sharded-mode contract: [feed] returns [[]], reads quiesce, one
+    sequential pool on non-partitionable patterns). The domain count
+    rides on {!Engine.options} so the planner, the stream runner and the
+    CLI pick it up with no call-site changes. *)
 
 val strategies : strategy list
 
 val strategy_name : strategy -> string
 
 val strategy_of_string : string -> (strategy, string) result
-
-val supports_shared_routing : strategy -> bool
-(** Whether {!Multi}'s shared plan may feed this strategy's executors
-    only the events its predicate index routes to them ([`Plain] and
-    [`Auto]). The other strategies split pools across keys or domains,
-    or are counting baselines, so they always receive the whole feed. *)
 
 module type EXECUTOR = sig
   type t

@@ -30,12 +30,12 @@ type parallel = {
   mutable flushed : bool;
 }
 
-(* Shared-parallel mode: registrations are split into unit-whole shards
-   (see {!Shared_plan.partition}) and each worker domain builds its own
-   shared plan over its shard — built {e on} the worker through
-   {!Domain_pool.create_with}, so the plan's interior mutability stays
-   domain-local. The feed is broadcast; per-query results are read after
-   quiesce/shutdown, which establish the happens-before edges. *)
+(* Shared-parallel mode: registrations are dealt round-robin into
+   shards and each worker domain builds its own shared plan over its
+   shard — built {e on} the worker through {!Domain_pool.create_with},
+   so the plan's interior mutability stays domain-local. The feed is
+   broadcast; per-query results are read after quiesce/shutdown, which
+   establish the happens-before edges. *)
 type shared_parallel = {
   sh_pool : Event.t array Domain_pool.t;
   sh_plans : Shared_plan.t array;  (* shard order; read after quiesce *)
@@ -44,10 +44,11 @@ type shared_parallel = {
 }
 
 (* Sequential shared mode keeps the plan plus any "extras": queries
-   registered after the first event, which cannot join the already-fed
-   shared population and therefore run as independent executors beside
-   it. Registrations before the first event rebuild the (empty) plan so
-   they share fully. *)
+   registered after the first event, which run as independent executors
+   beside it (the plan's predicate index is built with the plan, and
+   rebuilding the plan would drop its executors' state). Registrations
+   before the first event rebuild the (empty) plan so they are routed
+   too. *)
 type shared_state = {
   mutable plan : Shared_plan.t;
   mutable extras : entry list;  (* registration order *)
@@ -70,6 +71,10 @@ let validate names =
     invalid_arg "Multi.create: empty query name";
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Multi.create: duplicate query name"
+
+(* Round-robin by registration order: shard [k] gets the registrations
+   at positions k, k + n, k + 2n, ... *)
+let deal n xs = Array.init n (fun k -> List.filteri (fun i _ -> i mod n = k) xs)
 
 let make_independent options domains queries =
   let exec_options =
@@ -101,11 +106,7 @@ let make_independent options domains queries =
   in
   if domains <= 1 then Independent entries
   else begin
-    let groups = Array.make domains [] in
-    List.iteri
-      (fun i e -> groups.(i mod domains) <- e :: groups.(i mod domains))
-      entries;
-    Array.iteri (fun i g -> groups.(i) <- List.rev g) groups;
+    let groups = deal domains entries in
     let pool =
       Domain_pool.create ?telemetry:options.Engine.telemetry ~domains
         (fun i events ->
@@ -139,9 +140,7 @@ let make_shared options domains queries =
     Shared
       { plan = Shared_plan.create ~options (plan_regs queries); extras = [] }
   else begin
-    let shards =
-      Shared_plan.partition ~options ~shards:domains (plan_regs queries)
-    in
+    let shards = deal domains (plan_regs queries) in
     (* Each worker's plan records through its own telemetry fork and
        never nests a second domain pool. The forks are created here, on
        the calling thread, but written only by their worker. *)
@@ -335,38 +334,6 @@ let population t =
         (fun acc sp -> acc + Shared_plan.population sp)
         0 p.sh_plans
 
-(* Shared-mode outcomes: finalization needs the whole raw candidate set
-   per query, and aliased registrations share identical raw, so the
-   finalize pass is memoized per alias id within each plan. *)
-let shared_outcomes t plans =
-  let memo = Hashtbl.create 16 in
-  let per_query =
-    List.concat
-      (List.mapi
-         (fun pi sp ->
-           List.map
-             (fun (r : Shared_plan.query_result) ->
-               let matches =
-                 if t.options.Engine.finalize then (
-                   match Hashtbl.find_opt memo (pi, r.q_alias) with
-                   | Some m -> m
-                   | None ->
-                       let m =
-                         Substitution.finalize ~policy:t.options.Engine.policy
-                           (Automaton.pattern r.q_automaton)
-                           r.q_raw
-                       in
-                       Hashtbl.add memo (pi, r.q_alias) m;
-                       m)
-                 else r.q_raw
-               in
-               ( r.q_name,
-                 { Engine.matches; raw = r.q_raw; metrics = r.q_metrics } ))
-             (Shared_plan.results sp))
-         plans)
-  in
-  reorder t per_query
-
 let finalized t automaton raw metrics =
   let matches =
     if t.options.Engine.finalize then
@@ -375,6 +342,16 @@ let finalized t automaton raw metrics =
     else raw
   in
   { Engine.matches; raw; metrics }
+
+let shared_outcomes t plans =
+  reorder t
+    (List.concat_map
+       (fun sp ->
+         List.map
+           (fun (r : Shared_plan.query_result) ->
+             (r.q_name, finalized t r.q_automaton r.q_raw r.q_metrics))
+           (Shared_plan.results sp))
+       plans)
 
 let entry_outcome t e =
   ( e.name,
@@ -453,16 +430,16 @@ let register t (name, automaton, strategy) =
       t.backend <- Independent (entries @ [ e ])
   | Shared s ->
       if Shared_plan.events_fed s.plan = 0 && s.extras = [] then
-        (* Nothing fed yet: rebuild the (empty) plan so the newcomer
-           shares fully — "register everything, then feed" gets the same
+        (* Nothing fed yet: rebuild the (empty) plan so the newcomer is
+           routed too — "register everything, then feed" gets the same
            plan as creation-time registration. *)
         s.plan <-
           Shared_plan.create ~options:t.options
             (plan_regs (t.regs @ [ (name, automaton, strategy) ]))
       else
-        (* The shared population already reflects fed events the
-           newcomer must not observe: run it independently beside the
-           plan. *)
+        (* Rebuilding now would drop the other executors' state: run the
+           newcomer independently beside the plan, from the next event
+           on. *)
         s.extras <-
           s.extras
           @ [

@@ -12,20 +12,19 @@
     {b Shared plan (default).} With [shared = true], registrations are
     compiled into one {!Shared_plan}: the distinct constant predicates
     across all queries' filters are evaluated once per event by a
-    predicate index (routing each event only to the queries it can
-    affect), byte-identical registrations collapse to one executor with
-    per-name fan-out, and eligible queries agreeing on a leading run of
-    event sets share one instance population over that prefix. All of it
-    is result-transparent: per-query matches, raw emissions and metrics
-    equal the [shared = false] independent execution. Set
-    [shared = false] to force one isolated executor per query — the
-    differential baseline the equivalence tests compare against.
+    predicate index, which routes each event only to the executors of
+    the queries it can affect. Every registration keeps its own
+    executor, so routing is result-transparent: per-query matches, raw
+    emissions and metrics equal the [shared = false] independent
+    execution. Set [shared = false] to feed one isolated executor per
+    query every event — the differential baseline the equivalence tests
+    compare against.
 
     {b Domain-parallel mode.} When [options.domains > 1] (clamped to the
     number of queries), worker domains process the broadcast feed in
-    parallel. In shared mode, registrations are split into unit-whole
-    shards and each worker builds its own shared plan over its shard (on
-    its own domain); in independent mode, queries are pinned round-robin.
+    parallel. Queries are dealt round-robin to the workers; in shared
+    mode each worker builds its own shared plan over its queries (on its
+    own domain).
     Either way each query is still evaluated by one domain, strictly
     sequentially, so per-query results are identical to the sequential
     mode. Operationally (mirroring {!Partitioned}'s sharded mode):
@@ -60,8 +59,9 @@ val create_mixed :
 val register : t -> string * Automaton.t * Executor.strategy -> unit
 (** Adds a query to a live sequential query set. Before the first event
     is fed, a shared backend rebuilds its (still empty) plan so the
-    newcomer shares fully; afterwards it runs as an independent executor
-    beside the plan (it must not observe events fed before it existed).
+    newcomer is routed too; afterwards it runs as an independent
+    executor beside the plan (it must not observe events fed before it
+    existed).
     Raises [Invalid_argument] on an empty or duplicate name, or on a
     domain-parallel query set (those are fixed at creation). *)
 
@@ -69,7 +69,8 @@ val unregister : t -> string -> Engine.outcome
 (** Removes a query from a live sequential query set and returns its
     finalized outcome to date, accepting instances flushed in close
     order. The remaining queries' future matches and metrics are as if
-    the set had been built without it (see {!Shared_plan.retire}).
+    the set had been built without it: each runs its own executor (see
+    {!Shared_plan.retire}).
     Raises [Invalid_argument] on an unknown name or a domain-parallel
     query set. *)
 
@@ -96,8 +97,7 @@ val close : t -> (string * Substitution.t list) list
 (** Flushes accepting instances of every query. *)
 
 val population : t -> int
-(** Total live instances across all queries (aliased registrations each
-    count their own, as independent execution would). *)
+(** Total live instances across all queries. *)
 
 val outcomes : t -> (string * Engine.outcome) list
 (** Per-query finalized outcomes (callable after [close]). *)
@@ -110,7 +110,7 @@ val merged_metrics : t -> Metrics.snapshot
     sequential and domain-parallel mode. *)
 
 val shared_stats : t -> Shared_plan.stats list
-(** The shared plan's sharing summary — merge groups, aliases, template
+(** The shared plan's routing summary — routed queries, template
     groups, predicate-index hit rate. One entry per worker plan in
     domain-parallel shared mode, a singleton in sequential shared mode,
     [[]] for [shared = false]. *)

@@ -1,13 +1,15 @@
 open Ses_event
 open Ses_pattern
 
-(* Canonical, collision-free serializations of an automaton's structure.
+(* A canonical, collision-free serialization of an automaton's
+   structure with every constant widened to a typed slot marker.
    Everything semantically relevant is written: τ, the per-set variables
    with their quantifier bounds, the negations with their conditions,
    and every state with its outgoing transitions and condition sets.
    Spans and variable names are omitted (they do not affect execution),
-   string constants are length-prefixed so no value can fake a
-   delimiter, and [Varset.t] states print as their bitmask. *)
+   and [Varset.t] states print as their bitmask. Recording the widened
+   constants turns "identical up to constants" into plain string
+   equality. *)
 
 let add_int b i = Buffer.add_string b (string_of_int i)
 
@@ -17,51 +19,27 @@ let add_field b = function
       add_int b i
   | Schema.Field.Timestamp -> Buffer.add_char b 'T'
 
-let add_value b v =
-  match v with
-  | Value.Int i ->
-      Buffer.add_char b 'i';
-      add_int b i
-  | Value.Float f ->
-      Buffer.add_char b 'f';
-      Buffer.add_string b (string_of_float f)
-  | Value.Str s ->
-      Buffer.add_char b 's';
-      add_int b (String.length s);
-      Buffer.add_char b ':';
-      Buffer.add_string b s
-
-(* Skeleton mode widens every constant to a typed slot marker and
-   records the value, turning "identical up to constants" into plain
-   string equality on the skeleton. *)
-type const_mode =
-  | Concrete
-  | Slot of Value.t list ref
-
-let add_const mode b v =
-  match mode with
-  | Concrete -> add_value b v
-  | Slot acc ->
-      acc := v :: !acc;
-      Buffer.add_char b '?';
-      Buffer.add_string b
-        (match Value.type_of v with
-        | Value.Tint -> "i"
-        | Value.Tfloat -> "f"
-        | Value.Tstr -> "s")
+let add_const acc b v =
+  acc := v :: !acc;
+  Buffer.add_char b '?';
+  Buffer.add_string b
+    (match Value.type_of v with
+    | Value.Tint -> "i"
+    | Value.Tfloat -> "f"
+    | Value.Tstr -> "s")
 
 (* [pv] renders a variable id: the identity for pattern variables, and a
    masking of the negated variable to a fixed marker inside negation
-   conditions — prefix signatures must not depend on the id a negated
-   variable happens to get. *)
-let add_cond mode ~pv b (c : Condition.t) =
+   conditions — skeletons must not depend on the id a negated variable
+   happens to get. *)
+let add_cond acc ~pv b (c : Condition.t) =
   Buffer.add_char b '[';
   pv b c.Condition.var;
   Buffer.add_char b '.';
   add_field b c.Condition.field;
   Buffer.add_string b (Predicate.to_string c.Condition.op);
   (match c.Condition.rhs with
-  | Condition.Const v -> add_const mode b v
+  | Condition.Const v -> add_const acc b v
   | Condition.Var (v, f) ->
       Buffer.add_char b 'V';
       pv b v;
@@ -73,8 +51,8 @@ let ident_pv b v = add_int b v
 
 let mask_pv nv b v = if v = nv then Buffer.add_char b 'N' else add_int b v
 
-let add_sets b p ~n_sets =
-  for s = 0 to n_sets - 1 do
+let add_sets b p =
+  for s = 0 to Pattern.n_sets p - 1 do
     Buffer.add_char b '{';
     List.iter
       (fun v ->
@@ -89,75 +67,38 @@ let add_sets b p ~n_sets =
     Buffer.add_char b '}'
   done
 
-let add_negations mode b p ~max_boundary =
+let add_negations acc b p =
   List.iter
     (fun (boundary, nv) ->
-      if boundary <= max_boundary then begin
-        Buffer.add_char b '!';
-        add_int b boundary;
-        Buffer.add_char b ':';
-        List.iter (add_cond mode ~pv:(mask_pv nv) b) (Pattern.conditions_on p nv);
-        Buffer.add_char b ';'
-      end)
+      Buffer.add_char b '!';
+      add_int b boundary;
+      Buffer.add_char b ':';
+      List.iter (add_cond acc ~pv:(mask_pv nv) b) (Pattern.conditions_on p nv);
+      Buffer.add_char b ';')
     (Pattern.negations p)
 
-let add_transitions mode b a ~keep =
+let add_transitions acc b a =
   List.iter
     (fun q ->
-      if keep q then begin
-        Buffer.add_char b 'S';
-        add_int b (q : Varset.t :> int);
-        List.iter
-          (fun (tr : Automaton.transition) ->
-            if keep tr.Automaton.tgt then begin
-              Buffer.add_char b 't';
-              add_int b (tr.Automaton.var);
-              Buffer.add_char b '>';
-              add_int b (tr.Automaton.tgt : Varset.t :> int);
-              List.iter (add_cond mode ~pv:ident_pv b) tr.Automaton.conds
-            end)
-          (Automaton.outgoing a q)
-      end)
+      Buffer.add_char b 'S';
+      add_int b (q : Varset.t :> int);
+      List.iter
+        (fun (tr : Automaton.transition) ->
+          Buffer.add_char b 't';
+          add_int b tr.Automaton.var;
+          Buffer.add_char b '>';
+          add_int b (tr.Automaton.tgt : Varset.t :> int);
+          List.iter (add_cond acc ~pv:ident_pv b) tr.Automaton.conds)
+        (Automaton.outgoing a q))
     (Automaton.states a)
-
-let render mode a ~n_sets ~max_boundary ~keep =
-  let p = Automaton.pattern a in
-  let b = Buffer.create 256 in
-  Buffer.add_char b 'w';
-  add_int b (Automaton.tau a);
-  add_sets b p ~n_sets;
-  add_negations mode b p ~max_boundary;
-  add_transitions mode b a ~keep;
-  Buffer.contents b
-
-let full a =
-  let p = Automaton.pattern a in
-  render Concrete a ~n_sets:(Pattern.n_sets p) ~max_boundary:max_int
-    ~keep:(fun _ -> true)
 
 let skeleton a =
   let p = Automaton.pattern a in
   let acc = ref [] in
-  let s =
-    render (Slot acc) a ~n_sets:(Pattern.n_sets p) ~max_boundary:max_int
-      ~keep:(fun _ -> true)
-  in
-  (s, List.rev !acc)
-
-let prefix_vars p depth =
-  Varset.of_list
-    (List.concat_map (Pattern.set_vars p) (List.init depth Fun.id))
-
-(* The depth-d prefix signature covers exactly what a merged run of the
-   first d sets evaluates: the prefix variables with their quantifiers,
-   the negations killing strictly inside the prefix (boundary ≤ d − 2 —
-   a boundary-(d−1) guard arms at the full prefix state, where queries
-   may already diverge), and the transitions between prefix states.
-   Queries sharing this string execute the prefix identically. *)
-let prefix_signature a depth =
-  let p = Automaton.pattern a in
-  if depth < 1 || depth > Pattern.n_sets p then
-    invalid_arg "Query_sig.prefix_signature: depth out of range";
-  let pv = prefix_vars p depth in
-  render Concrete a ~n_sets:depth ~max_boundary:(depth - 2)
-    ~keep:(fun q -> Varset.subset q pv)
+  let b = Buffer.create 256 in
+  Buffer.add_char b 'w';
+  add_int b (Automaton.tau a);
+  add_sets b p;
+  add_negations acc b p;
+  add_transitions acc b a;
+  (Buffer.contents b, List.rev !acc)

@@ -1,40 +1,19 @@
-(** Canonical structural signatures of SES automata.
+(** The constant-free structural signature of SES automata.
 
-    The shared-plan layer of {!Multi} groups registered queries by
-    structure: byte-identical [(automaton, strategy)] registrations alias
-    to one executor, queries identical up to constants form a template,
-    and queries whose automata agree on a leading run of event sets merge
-    their prefix evaluation. All three detections reduce to string
-    equality on the serializations below — collision-free (constants are
-    length-prefixed, states print as bitmasks) and independent of
-    variable names and condition spans, neither of which affects
-    execution. *)
+    Whether two registered queries are instances of one template —
+    identical up to constants — reduces to string equality on
+    {!skeleton}; {!Shared_plan.stats} reports the resulting template
+    groups. The serialization is collision-free (states print as
+    bitmasks) and independent of variable names and condition spans,
+    neither of which affects execution. *)
 
 open Ses_event
-open Ses_pattern
-
-val full : Automaton.t -> string
-(** Serializes everything execution observes: τ, per-set variables with
-    quantifier bounds, negations (with the negated variable masked, so
-    ids assigned to negations don't matter) and every state's outgoing
-    transitions with their condition sets. Two automata with equal [full]
-    signatures produce identical emissions, matches and layout-invariant
-    metrics on every feed. *)
 
 val skeleton : Automaton.t -> string * Value.t list
-(** Like {!full} with every constant widened to a typed slot marker; the
-    constants are returned in serialization order. Queries with equal
-    skeletons are instances of one template — the shared plan's
-    constant-dispatch grouping. *)
-
-val prefix_vars : Pattern.t -> int -> Varset.t
-(** Variables of the first [depth] event sets. *)
-
-val prefix_signature : Automaton.t -> int -> string
-(** Serializes the automaton's restriction to the first [depth] event
-    sets: prefix variables and quantifiers, negations with boundary
-    ≤ depth − 2 (those killing strictly inside the prefix) and the
-    transitions between prefix states. Queries with equal depth-[d]
-    prefix signatures run those first [d] sets identically and can share
-    one instance population up to the merge state. Raises
-    [Invalid_argument] when [depth] is not in [1 .. n_sets]. *)
+(** Serializes everything execution observes — τ, per-set variables with
+    quantifier bounds, negations (with the negated variable masked, so
+    ids assigned to negations don't matter) and every state's outgoing
+    transitions with their condition sets — with every constant widened
+    to a typed slot marker; the constants are returned in serialization
+    order. Queries with equal skeletons are instances of one
+    template. *)

@@ -1,30 +1,20 @@
-(** The shared evaluation pipeline behind {!Multi}.
+(** The routing pipeline behind {!Multi}.
 
-    Given a set of named query registrations, builds one plan that
-    exploits three kinds of cross-query overlap, none of which changes
-    any query's matches or metrics:
-
-    - {b predicate indexing} — the distinct constant atoms across all
-      queries' strong-filter clauses are evaluated once per event by a
-      {!Predicate_index}; each query (or merged-group member) learns
-      whether the event can affect it without re-testing shared atoms.
-      Queries whose plan gates on the strong filter are then fed only
-      their routed subsequence.
-    - {b alias collapsing} — registrations with byte-identical
-      [(strategy, canonical automaton signature)] run one executor,
-      with results fanned out to every registered name.
-    - {b prefix merging} — eligible [`Plain] queries agreeing on a
-      leading run of event sets (canonical signature of the
-      analyzer-pruned automaton) evaluate that prefix once over a
-      shared instance population carrying per-query owner bitmasks,
-      forking into private per-query regions at the divergence point.
+    Given a set of named query registrations, builds one plan with one
+    executor per registration behind a shared {!Predicate_index}: the
+    distinct constant atoms across all queries' strong-filter clauses
+    are evaluated once per event, and each query learns whether the
+    event can affect it without re-testing shared atoms. A query whose
+    executor gates on its strong filter is fed only its routed
+    subsequence; a routed query that does not gate is also fed every
+    event while it holds instances (τ-expiry timing); an unroutable
+    query is fed everything.
 
     Per-query raw emissions, matches and metrics are identical to
-    running each registration independently — including raw emission
-    order — except that τ-expiry emissions of a strongly-filtered
-    member can surface a few events earlier (at the next event the
-    shared group processes rather than the next event that member
-    keeps); aggregates are unaffected. *)
+    running each registration independently, raw emission order
+    included: routing only skips events that could neither fire a
+    transition nor kill an instance, and skipped events are accounted
+    back into the metrics. *)
 
 open Ses_event
 
@@ -45,20 +35,19 @@ val feed : t -> Event.t -> (string * Substitution.t list) list
 
 val feed_batch : t -> Event.t array -> (string * Substitution.t list) list
 (** Pushes a chronological chunk; same contract as {!feed}, with
-    completions aggregated over the chunk. *)
+    completions aggregated over the chunk: each executor receives the
+    events it takes as one [feed_batch]. *)
 
 val close : t -> (string * Substitution.t list) list
 (** End of input: flushes accepting instances. Subsequent [feed]s
     raise; subsequent [close]s return []. *)
 
 val population : t -> int
-(** Total live instances across all registered names — aliases count
-    once per name, as independent execution would. *)
+(** Total live instances across all registered names. *)
 
 type query_result = {
   q_name : string;
   q_automaton : Automaton.t;
-  q_alias : int;  (** registrations sharing this id share identical raw *)
   q_raw : Substitution.t list;
   q_metrics : Metrics.snapshot;
 }
@@ -70,13 +59,9 @@ val results : t -> query_result list
 
 val retire : t -> string -> query_result
 (** Removes a registered query from a live plan and returns its outcome
-    to date, with accepting instances flushed in the engine's close
-    order. The remaining queries' future matches and metrics are as if
-    the plan had been built without the retired one: its owner bit is
-    cleared from every shared instance (sole-owner instances drop out),
-    its predicate-index slots stop routing, and aliased siblings keep
-    their executor. Exception: when an aliased sibling keeps the shared
-    executor open, the retiree's raw lacks the close-time flush.
+    to date: its executor is closed, so the raw emissions include the
+    close-time flush. The remaining queries are untouched — each has its
+    own executor — and the retiree's predicate-index slot stops routing.
     Raises [Invalid_argument] on an unknown (or already retired) name,
     or if the plan is closed. *)
 
@@ -85,20 +70,19 @@ val events_fed : t -> int
 
 (** {1 Introspection} *)
 
-type unit_summary = {
-  u_names : string list;  (** registered names sharing this executor *)
-  u_kind : [ `Single | `Merged of int ];  (** [`Merged depth] *)
-  u_routed : bool;  (** fed through the predicate index *)
-  u_gated : bool;  (** non-routed events skipped entirely *)
-}
-
 type stats = {
-  st_units : unit_summary list;
-  st_merged_groups : int;
+  st_routed : string list;
+      (** live registrations fed through the predicate index, in
+          registration order *)
   st_merged_queries : int;
-  st_aliased_queries : int;  (** registrations beyond their unit's first *)
+      (** Always 0: no query shares another's instance population. Kept,
+          with [st_aliased_queries], for existing readers of this
+          summary (the end-to-end benchmark's traced run reports both). *)
+  st_aliased_queries : int;
+      (** Always 0: no query shares another's executor. *)
   st_template_groups : string list list;
-      (** registration names per template *)
+      (** registration names per template (queries equal up to
+          constants), groups of two or more *)
   st_index_atoms : int;
   st_index_evaluated : int;
   st_index_saved : int;
@@ -106,9 +90,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val partition : options:Engine.options -> shards:int -> reg list -> reg list array
-(** Splits registrations into [shards] groups for the domain-parallel
-    mode, keeping every sharing unit (alias set, merged group) whole so
-    each worker re-derives the same grouping on its subset. Greedy by
-    member count; deterministic. *)

@@ -27,15 +27,17 @@ let canon_sorted substs =
 (* `Naive and `Brute_force are Definition 2 enumeration oracles with
    deliberately different skip semantics — test_equivalence.ml only ever
    relates them to the engine by raw-emission *inclusion*, never
-   equality — so the exact-agreement set is the four strategies that
-   share the engine's skip-till-next-match semantics. *)
-let strategies = [ `Auto; `Plain; `Partitioned; `Par_partitioned ]
+   equality — so the exact-agreement set is the three strategies that
+   share the engine's skip-till-next-match semantics, with partitioned
+   also run sharded across two worker domains. *)
+let strategies = [ (`Auto, 1); (`Plain, 1); (`Partitioned, 1); (`Partitioned, 2) ]
 
 let agrees_with_baseline ?(options = Engine.default_options) p r =
   let automaton = Automaton.of_pattern p in
   let baseline = Engine.run_relation ~options automaton r in
   List.for_all
-    (fun strategy ->
+    (fun (strategy, domains) ->
+      let options = { options with Engine.domains } in
       let out =
         Executor.drive ~options
           (Executor.create ~options strategy automaton)

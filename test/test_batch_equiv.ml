@@ -22,17 +22,13 @@ let canon substs = List.map Substitution.canonical substs
 let canon_sorted substs =
   List.sort Substitution.compare_canonical (canon substs)
 
-(* Same two layout-variant counters as the parallel-equivalence suite:
-   the batched loop pops τ-expired prefixes once per batch, so both the
-   moment an expiry is counted and the sampled population peak can
-   legitimately differ from the per-event schedule. Everything else
-   must agree exactly. *)
+(* The one layout-variant counter: the batched loop samples the
+   population before its batch-end sweep pops the instances whose
+   window closed mid-batch, so the sampled peak can legitimately exceed
+   the per-event schedule's. Everything else — [instances_expired]
+   included — must agree exactly. *)
 let invariant (m : Metrics.snapshot) =
-  {
-    m with
-    Metrics.max_simultaneous_instances = 0;
-    Metrics.instances_expired = 0;
-  }
+  { m with Metrics.max_simultaneous_instances = 0 }
 
 type observed = {
   o_matches : (int * int) list list;
@@ -99,6 +95,51 @@ let batched_equals_per_event =
                 batch_grid)
             strategies))
 
+(* Chunk by chunk, not just in total: the batched engine sweeps τ-expiry
+   at the end of every chunk, so each [feed_batch] call returns the same
+   multiset of raw emissions as feeding that chunk's events one by one —
+   an instance is emitted in the chunk whose event closed its window —
+   and the expiry count agrees at every boundary. Chunk lengths are
+   drawn at random, ten chunkings per workload. *)
+let chunk_emissions_equal_per_event =
+  QCheck.Test.make ~count:40
+    ~name:"each feed_batch chunk = per-event feed over it (1 domain)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      with_workload seed (fun pat r ->
+          let automaton = Automaton.of_pattern pat in
+          let events = events_of r in
+          let n = Array.length events in
+          let cuts = Prng.create (Int64.of_int (seed + 1)) in
+          let expired exec = (Executor.metrics exec).Metrics.instances_expired in
+          let agrees strategy =
+            let reference = Executor.create strategy automaton in
+            let batched = Executor.create strategy automaton in
+            let ok = ref true and i = ref 0 in
+            while !ok && !i < n do
+              let len = min (1 + Prng.int cuts 16) (n - !i) in
+              let chunk = Array.sub events !i len in
+              let one_by_one =
+                List.concat_map (Executor.feed reference) (Array.to_list chunk)
+              in
+              ok :=
+                canon_sorted one_by_one
+                = canon_sorted (Executor.feed_batch batched chunk)
+                && expired reference = expired batched;
+              i := !i + len
+            done;
+            !ok
+            && canon_sorted (Executor.close reference)
+               = canon_sorted (Executor.close batched)
+            && expired reference = expired batched
+          in
+          let rec chunkings strategy k =
+            k = 0 || (agrees strategy && chunkings strategy (k - 1))
+          in
+          List.for_all
+            (fun strategy -> chunkings strategy 10)
+            [ `Plain; `Partitioned; `Auto ]))
+
 (* The sharded executor consumes batches through the domain-pool
    batcher (per-key sub-batches over the worker queues), so it gets its
    own property, across worker counts. Shard-merged metrics follow the
@@ -120,12 +161,12 @@ let sharded_batched_equals_per_event =
       List.for_all
         (fun domains ->
           let reference =
-            observe ~domains ~batch:None `Par_partitioned pat r
+            observe ~domains ~batch:None `Partitioned pat r
           in
           List.for_all
             (fun b ->
               let batched =
-                observe ~domains ~batch:(Some b) `Par_partitioned pat r
+                observe ~domains ~batch:(Some b) `Partitioned pat r
               in
               reference.o_matches = batched.o_matches
               && reference.o_raw = batched.o_raw)
@@ -133,11 +174,11 @@ let sharded_batched_equals_per_event =
         [ 1; 2; 4 ])
 
 (* Deterministic fixture: an ID-pinned negation kill (id 2), a match
-   completing before its kill event arrives (id 1), and a τ-expiry that
-   the batch-of-7 boundary lands right on — events 1..7 arrive in one
-   chunk, so id 4's first [a] (ts 3) is popped as expired only by the
-   next chunk's sweep (its [b] at ts 30 is past τ = 20) while its
-   second [a] (ts 12) still matches. *)
+   completing before its kill event arrives (id 1), and a τ-expiry
+   inside a later chunk — at batch 7, events 1..7 arrive in one chunk
+   and 8..11 in the next, so id 4's first [a] (ts 3) expires inside the
+   second chunk, at its [b] (ts 30 is past τ = 20), while its second
+   [a] (ts 12) still matches. *)
 let neg_pattern =
   Pattern.make_full_exn ~schema:Helpers.schema
     ~sets:[ [ v "a" ]; [ v "b" ] ]
@@ -199,12 +240,12 @@ let test_negation_and_expiry_at_boundaries () =
   List.iter
     (fun domains ->
       let reference =
-        observe ~domains ~batch:None `Par_partitioned neg_pattern neg_relation
+        observe ~domains ~batch:None `Partitioned neg_pattern neg_relation
       in
       List.iter
         (fun b ->
           let batched =
-            observe ~domains ~batch:(Some b) `Par_partitioned neg_pattern
+            observe ~domains ~batch:(Some b) `Partitioned neg_pattern
               neg_relation
           in
           Alcotest.(check bool)
@@ -217,7 +258,11 @@ let test_negation_and_expiry_at_boundaries () =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ batched_equals_per_event; sharded_batched_equals_per_event ]
+    [
+      batched_equals_per_event;
+      chunk_emissions_equal_per_event;
+      sharded_batched_equals_per_event;
+    ]
   @ [
       Alcotest.test_case "negation + expiry at batch boundaries" `Quick
         test_negation_and_expiry_at_boundaries;

@@ -1,12 +1,13 @@
 (* Runtime query add/remove on a live {!Multi}. The load-bearing
-   property (the server depends on it): after [Multi.unregister], the
-   surviving queries' matches, raw emissions and metrics — including
+   properties (the server depends on them): after [Multi.unregister],
+   the surviving queries' matches, raw emissions and metrics — including
    [instances_expired] — are exactly those of a fresh Multi built
-   without the removed query and fed the same stream. Checked on the
-   shared backend (owner-mask retirement inside merged groups, alias
-   splitting, single-unit close) and the independent backend, over a
-   deterministic merge-point fixture and random workloads, with the
-   removal point swept across the stream. *)
+   without the removed query and fed the same stream; and the removed
+   query's returned outcome is that of an offline run over the events
+   fed before its removal. Checked on the shared (routed) backend and
+   the independent backend, over a deterministic fixture with
+   byte-identical registrations and random workloads, with the removal
+   point swept across the stream. *)
 
 open Ses_event
 open Ses_pattern
@@ -68,7 +69,7 @@ let check_observed name expected got =
         (a.o_metrics = b.o_metrics))
     expected got
 
-(* ---- deterministic merge-point fixture (as the shared-equiv suite) ---- *)
+(* ---- deterministic fixture (as the shared-equiv suite) ---- *)
 
 let schema = Random_workload.schema
 let v = Variable.singleton
@@ -187,13 +188,11 @@ let test_retiree_outcome () =
             true
             (canon_sorted expected.Engine.raw = canon_sorted out.Engine.raw))
         [ 0; 8; 12 ])
-    (* aliased registrations excepted: the sibling keeps the shared
-       executor open, so the retiree's raw lacks the close-time flush *)
-    [ "pfx-end"; "pfx-d"; "pfx-neg-merge"; "solo" ]
+    fixture_victims
 
 let test_register_before_feed_shares () =
   (* Registering before the first event rebuilds the plan: same results
-     and the same sharing as creation-time registration. *)
+     and the same routing as creation-time registration. *)
   let queries = fixture_queries () in
   let t = Multi.create_mixed [ List.hd queries ] in
   List.iter (Multi.register t) (List.tl queries);
@@ -204,9 +203,15 @@ let test_register_before_feed_shares () =
   check_observed "register-then-feed" fresh live;
   match Multi.shared_stats t with
   | [ stats ] ->
-      Alcotest.(check bool) "merged after rebuild" true
-        (stats.Shared_plan.st_merged_groups >= 1);
-      Alcotest.(check int) "alias after rebuild" 1
+      Alcotest.(check (list string))
+        "every plain query routed after rebuild"
+        (List.map (fun (n, _, _) -> n) queries)
+        stats.Shared_plan.st_routed;
+      Alcotest.(check bool) "index holds atoms after rebuild" true
+        (stats.Shared_plan.st_index_atoms > 0);
+      Alcotest.(check int) "nothing merged after rebuild" 0
+        stats.Shared_plan.st_merged_queries;
+      Alcotest.(check int) "nothing aliased after rebuild" 0
         stats.Shared_plan.st_aliased_queries
   | l -> Alcotest.failf "expected one plan, got %d" (List.length l)
 
@@ -302,6 +307,9 @@ let random_queries rng =
   let _, a0, s0 = List.hd family in
   family @ [ ender; ("fam0-alias", a0, s0) ]
 
+(* The victim is any registration — the byte-identical [fam0-alias]
+   included; its returned outcome must equal an offline plain run over
+   the events fed before its removal, close-time flush included. *)
 let unregister_equals_fresh =
   QCheck.Test.make ~count:30
     ~name:"unregister: survivors = fresh multi without the victim"
@@ -319,9 +327,15 @@ let unregister_equals_fresh =
         n
       in
       let at = Prng.int rng (Array.length events + 1) in
-      let live, _ = run_with_unregister ~shared ~victim ~at queries events in
+      let live, out = run_with_unregister ~shared ~victim ~at queries events in
       let fresh = run_plain ~shared (without victim queries) events in
-      List.length live = List.length fresh
+      let offline =
+        let _, automaton, _ = List.find (fun (n, _, _) -> n = victim) queries in
+        Executor.run `Plain automaton (Array.to_seq (Array.sub events 0 at))
+      in
+      canon offline.Engine.matches = canon out.Engine.matches
+      && canon_sorted offline.Engine.raw = canon_sorted out.Engine.raw
+      && List.length live = List.length fresh
       && List.for_all2
            (fun (n1, a) (n2, b) ->
              n1 = n2

@@ -1,15 +1,14 @@
 (* Shared-plan differential properties: {!Multi} with [shared = true]
-   (predicate-index routing, alias collapsing, prefix merging) must be
+   (predicate-index routing in front of one executor per query) must be
    observationally identical to [shared = false] — one isolated executor
-   per query — for every query: same finalized matches (in order), same
-   raw emissions (as a multiset), and the same metrics. Metrics are
-   compared bit-for-bit on the per-event path; batched delivery zeroes
-   the two layout-variant counters, exactly as the batch-equivalence
-   suite does. The deterministic fixture pins the delicate merge-point
-   semantics: a negation guard inside the shared prefix, a per-owner
-   negation at the merge boundary, a member whose pattern is exactly the
-   prefix (emitting on τ-expiry from the shared store), and aliased
-   re-registrations — and asserts that the sharing actually engaged. *)
+   per query, fed every event — for every query: same finalized matches
+   (in order), same raw emissions (as a multiset), and the same metrics.
+   Metrics are compared bit-for-bit on the per-event path; batched
+   delivery zeroes the two layout-variant counters. The deterministic
+   fixture runs queries that agree on a leading run of event sets, with
+   negation guards at two boundaries, a query that is exactly the common
+   prefix (emitting on τ-expiry), and a byte-identical re-registration —
+   and asserts that routing actually engaged. *)
 
 open Ses_event
 open Ses_pattern
@@ -20,10 +19,10 @@ let canon substs = List.map Substitution.canonical substs
 let canon_sorted substs =
   List.sort Substitution.compare_canonical (canon substs)
 
-(* Same two layout-variant counters as the batch-equivalence suite: the
-   batched engine loop pops τ-expired prefixes once per batch, so the
-   moment an expiry is counted and the sampled population peak can
-   legitimately differ from the per-event schedule. *)
+(* Batched runs are compared modulo the population peak and the expiry
+   count. Both sides are chunked alike, so today they agree on these
+   too; the mask only keeps this differential independent of where the
+   batched engine schedules its expiry sweep. *)
 let invariant (m : Metrics.snapshot) =
   {
     m with
@@ -99,7 +98,7 @@ let check_all_layouts ?options name queries r =
         batch_grid)
     domain_grid
 
-(* ---- deterministic merge-point fixture ---- *)
+(* ---- deterministic common-prefix fixture ---- *)
 
 let schema = Random_workload.schema
 
@@ -111,8 +110,9 @@ let mk ?(negations = []) ~within sets where =
   Automaton.of_pattern
     (Pattern.make_full_exn ~schema ~sets ~negations ~where ~within)
 
-(* Five queries over the shared two-set prefix a-then-b, one of them
-   exactly the prefix; plus an unrelated query and an alias. *)
+(* Five queries over the common two-set prefix a-then-b, one of them
+   exactly the prefix; plus an unrelated query and a byte-identical
+   re-registration. *)
 let fixture_queries () =
   let prefix = [ [ v "p" ]; [ v "q" ] ] in
   let pw = [ label "p" "a"; label "q" "b" ] in
@@ -120,13 +120,13 @@ let fixture_queries () =
   let cont_c = mk ~within:12 (prefix @ [ [ v "r" ] ]) (pw @ [ label "r" "c" ]) in
   let cont_d = mk ~within:12 (prefix @ [ [ v "r" ] ]) (pw @ [ label "r" "d" ]) in
   let neg_shared =
-    (* boundary 0: the guard arms inside the shared prefix *)
+    (* boundary 0: the guard arms inside the common prefix *)
     mk ~within:12 ~negations:[ (0, v "x") ]
       (prefix @ [ [ v "r" ] ])
       (pw @ [ label "r" "c"; label "x" "e" ])
   in
   let neg_merge =
-    (* boundary 1 = merge point: the guard is per owner *)
+    (* boundary 1: the guard arms where the queries diverge *)
     mk ~within:12 ~negations:[ (1, v "y") ]
       (prefix @ [ [ v "r" ] ])
       (pw @ [ label "r" "d"; label "y" "e" ])
@@ -144,10 +144,10 @@ let fixture_queries () =
 
 (* Labels chosen so every delicate path fires: kills at both guard
    boundaries (the "e" at 1 lands while an instance sits at the armed
-   prefix state, the ones at 3 and 42 at the merge state), matches for
-   the continuations, a τ-expiry landing while instances sit at the
-   merge state (gap 2 → 40), and a tail that expires everything before
-   close. *)
+   prefix state, the ones at 3 and 42 at the full-prefix state), matches
+   for the continuations, a τ-expiry landing while instances sit at the
+   full-prefix state (gap 2 → 40), and a tail that expires everything
+   before close. *)
 let fixture_relation =
   Relation.of_rows_exn schema
     (List.map
@@ -183,13 +183,12 @@ let test_fixture_sharing_engaged () =
   let t = Multi.create_mixed (fixture_queries ()) in
   (match Multi.shared_stats t with
   | [ stats ] ->
-      Alcotest.(check bool)
-        "a merged group formed" true
-        (stats.Shared_plan.st_merged_groups >= 1);
-      Alcotest.(check bool)
-        "several queries merged" true
-        (stats.Shared_plan.st_merged_queries >= 3);
-      Alcotest.(check int) "alias collapsed" 1 stats.Shared_plan.st_aliased_queries;
+      Alcotest.(check (list string))
+        "every plain query routed"
+        (List.map (fun (n, _, _) -> n) (fixture_queries ()))
+        stats.Shared_plan.st_routed;
+      Alcotest.(check int) "nothing merged" 0 stats.Shared_plan.st_merged_queries;
+      Alcotest.(check int) "nothing aliased" 0 stats.Shared_plan.st_aliased_queries;
       Alcotest.(check bool)
         "index holds atoms" true
         (stats.Shared_plan.st_index_atoms > 0);
@@ -202,7 +201,7 @@ let test_fixture_sharing_engaged () =
 let test_fixture_kill_and_expiry_exercised () =
   (* The fixture is only a good differential witness if the delicate
      paths actually run: both negation queries kill, and the ender emits
-     at least one match surfaced by τ-expiry from the shared store. *)
+     at least one match surfaced by τ-expiry. *)
   let outcomes =
     Multi.run (List.map (fun (n, a, _) -> (n, a)) (fixture_queries ()))
       (Relation.to_seq fixture_relation)
@@ -226,8 +225,8 @@ let test_fixture_kill_and_expiry_exercised () =
 (* ---- random workloads ---- *)
 
 (* A random family sharing a first event set (same label constant, same
-   τ), so prefix merging engages with high probability; plus a fully
-   random pattern under a rotating strategy and an aliased
+   τ), so most events route to several queries at once; plus a fully
+   random pattern under a rotating strategy and a byte-identical
    re-registration of the first family member. *)
 let random_queries rng =
   let labels = [ "a"; "b"; "c"; "d" ] in

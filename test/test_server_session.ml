@@ -6,8 +6,8 @@
    are recovered from (and keep BATCH framing), QUIT closes.
 
    Runtime: a golden scenario pins the whole observable exchange
-   (barriers, MATCH streaming one drain after the window closes,
-   RESULT at UNREGISTER); a qcheck differential replays random
+   (barriers, MATCH streaming in the drain whose event closes the
+   window, RESULT at UNREGISTER); a qcheck differential replays random
    streams with random register/unregister points and random batch
    boundaries, checking the RESULT lines against a fresh offline
    [Multi] fed the same window; SLOW/RESUME backpressure and the idle
@@ -125,7 +125,8 @@ let q_join =
 let q_pair = "PATTERN (c) -> (d) WHERE c.L = 'C' AND d.L = 'D' WITHIN 5"
 
 (* The whole observable exchange, pinned: barriers make STATS counts
-   deterministic, the match streams one drain after its window closes,
+   deterministic, the match streams in the drain whose event closes its
+   window (EVENT 9,C,0,50 — as per-event [Engine.feed] emits it), and
    UNREGISTER flushes the finalized RESULT. *)
 let test_runtime_golden () =
   let rt = Runtime.create (Runtime.default_config ~schema) in
@@ -142,9 +143,9 @@ let test_runtime_golden () =
       "OK tenant acme";
       "OK subscribed";
       "OK registered q1";
-      "STATS tenant=acme queries=1 events=3 queued=0 dropped=0 matches=0 \
-       connections=1";
       "MATCH acme q1 {c/e1, d/e2}";
+      "STATS tenant=acme queries=1 events=3 queued=0 dropped=0 matches=1 \
+       connections=1";
       "STATS tenant=acme queries=1 events=4 queued=0 dropped=0 matches=1 \
        connections=1";
       "RESULT acme q1 {c/e1, d/e2}";

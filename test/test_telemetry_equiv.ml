@@ -40,7 +40,7 @@ let run ~strategy ~domains telemetry automaton r =
    force runs one automaton per ordering — both explode on the random
    workloads, so the strategy grid covers them on the small Figure 1
    relation instead (see [strategies_on_figure_1]). *)
-let grid_strategies = [ `Auto; `Plain; `Partitioned; `Par_partitioned ]
+let grid_strategies = [ `Auto; `Plain; `Partitioned ]
 
 let domain_grid = [ 1; 2; 4 ]
 
@@ -171,7 +171,7 @@ let test_strategies_on_figure_1 () =
           Alcotest.(check int)
             (Printf.sprintf "%s: ingest count" name)
             (chunks n) ingest.Telemetry.span_count)
-    [ `Auto; `Plain; `Partitioned; `Par_partitioned; `Naive; `Brute_force ]
+    [ `Auto; `Plain; `Partitioned; `Naive; `Brute_force ]
 
 (* Sharded determinism carries over to the deterministic slice of the
    profile: counts (though not durations) are identical run to run. *)
