@@ -100,6 +100,11 @@ let send conn reply =
   Buffer.add_string conn.c_out (Protocol.render_reply reply);
   Buffer.add_char conn.c_out '\n'
 
+(* A [Block]-mode connection under SLOW is not read: the server, not the
+   peer, keeps it silent, so its idle clock is stopped. *)
+let paused t conn =
+  match t.cfg.overflow with Block -> conn.c_slow | Drop_oldest -> false
+
 let tenant_conns t name =
   Hashtbl.fold
     (fun _ c acc ->
@@ -171,8 +176,9 @@ let broadcast t ten completions =
   | _ -> ())
 
 (* Feed queued events into the tenant's query set; resume slowed
-   connections when the queue falls under the low-water mark. *)
-let drain_tenant t ten ~quota =
+   connections when the queue falls under the low-water mark, restarting
+   the idle clock of those the server had stopped reading. *)
+let drain_tenant ~now t ten ~quota =
   let events = Bounded_queue.drain ten.t_queue ~max:quota in
   (if events <> [] then
      let tok = Option.map Telemetry.Span.start t.span_ingest in
@@ -188,12 +194,13 @@ let drain_tenant t ten ~quota =
     List.iter
       (fun c ->
         if c.c_slow then begin
+          if paused t c then c.c_last_activity <- now;
           c.c_slow <- false;
           send c Protocol.Resume
         end)
       (tenant_conns t ten.t_name)
 
-let drain_all t ten = drain_tenant t ten ~quota:max_int
+let drain_all ~now t ten = drain_tenant ~now t ten ~quota:max_int
 
 (* Overflow: drop-oldest keeps reading and sheds the oldest queued
    events; block stops reading the tenant's connections (the TCP layer
@@ -213,7 +220,7 @@ let after_enqueue t ten =
       (tenant_conns t ten.t_name)
   end
 
-let register_query t conn ten name query_text =
+let register_query ~now t conn ten name query_text =
   if List.mem_assoc name ten.t_queries then
     send conn (Protocol.Err (Printf.sprintf "register %s: duplicate query name" name))
   else
@@ -222,12 +229,12 @@ let register_query t conn ten name query_text =
         send conn (Protocol.Err (Printf.sprintf "register %s: %s" name msg))
     | Ok pattern -> (
         let automaton = Automaton.of_pattern pattern in
-        (* [`Plain] only: the partitioned executors behind [`Auto] defer
-           all emissions to close, which would silence streamed MATCH
-           lines until UNREGISTER. *)
+        (* [`Plain] until the server benchmark measures [`Auto] against
+           it (ROADMAP item 2). At [domains = 1] both stream completions
+           from [feed_batch]. *)
         (* Barrier: queued events were sent before this REGISTER, so the
            new query must not observe them through a later drain. *)
-        drain_all t ten;
+        drain_all ~now t ten;
         match ten.t_multi with
         | None ->
             ten.t_multi <-
@@ -244,11 +251,11 @@ let register_query t conn ten name query_text =
             | exception Invalid_argument msg ->
                 send conn (Protocol.Err ("register " ^ name ^ ": " ^ msg))))
 
-let unregister_query t conn ten name =
+let unregister_query ~now t conn ten name =
   match List.assoc_opt name ten.t_queries with
   | None -> send conn (Protocol.Err ("unregister " ^ name ^ ": unknown query"))
   | Some pattern -> (
-      drain_all t ten;
+      drain_all ~now t ten;
       match Option.map (fun m -> Multi.unregister m name) ten.t_multi with
       | None | (exception Invalid_argument _) ->
           send conn (Protocol.Err ("unregister " ^ name ^ ": unknown query"))
@@ -318,7 +325,7 @@ let stats t ten =
       ("connections", string_of_int (connections t));
     ]
 
-let exec_op t conn (op : Session.op) =
+let exec_op ~now t conn (op : Session.op) =
   match op with
   | Auth name ->
       ignore (find_tenant t name);
@@ -327,11 +334,11 @@ let exec_op t conn (op : Session.op) =
   | Register (name, query) -> (
       match Session.tenant conn.c_session with
       | None -> ()
-      | Some tn -> register_query t conn (find_tenant t tn) name query)
+      | Some tn -> register_query ~now t conn (find_tenant t tn) name query)
   | Unregister name -> (
       match Session.tenant conn.c_session with
       | None -> ()
-      | Some tn -> unregister_query t conn (find_tenant t tn) name)
+      | Some tn -> unregister_query ~now t conn (find_tenant t tn) name)
   | Ingest { rows; announced } -> (
       match Session.tenant conn.c_session with
       | None -> ()
@@ -342,7 +349,7 @@ let exec_op t conn (op : Session.op) =
       | Some tn ->
           let ten = find_tenant t tn in
           (* Barrier: counts reflect everything sent before METRICS. *)
-          drain_all t ten;
+          drain_all ~now t ten;
           send conn (stats t ten))
 
 let add_conn ?(now = 0.) t =
@@ -372,13 +379,13 @@ let input ?(now = 0.) t id data =
         (fun (e : Session.effect_) ->
           match e with
           | Session.Reply r -> send conn r
-          | Session.Op op -> exec_op t conn op
+          | Session.Op op -> exec_op ~now t conn op
           | Session.Close ->
               (* QUIT is an ingest barrier: matches for everything the
                  connection's tenant sent beforehand are flushed to the
                  subscribers before the socket closes. *)
               (match Session.tenant conn.c_session with
-              | Some tn -> drain_all t (find_tenant t tn)
+              | Some tn -> drain_all ~now t (find_tenant t tn)
               | None -> ());
               conn.c_closing <- true)
         (Session.feed conn.c_session data))
@@ -405,8 +412,7 @@ let want_read t id =
   match Hashtbl.find_opt t.conns id with
   | None -> false
   | Some conn ->
-      (not conn.c_closing)
-      && not (t.cfg.overflow = Block && conn.c_slow)
+      (not conn.c_closing) && not (paused t conn)
 
 let is_closing t id =
   match Hashtbl.find_opt t.conns id with
@@ -419,13 +425,14 @@ let tick ?(now = 0.) t =
       Option.iter
         (fun h -> Telemetry.Histogram.observe h (Bounded_queue.length ten.t_queue))
         t.hist_depth;
-      drain_tenant t ten ~quota:t.cfg.drain_quota)
+      drain_tenant ~now t ten ~quota:t.cfg.drain_quota)
     t.tenants;
   if t.cfg.idle_timeout > 0. then
     Hashtbl.iter
       (fun _ conn ->
         if
           (not conn.c_closing)
+          && (not (paused t conn))
           && now -. conn.c_last_activity > t.cfg.idle_timeout
         then begin
           send conn (Protocol.Err "idle timeout");
@@ -433,6 +440,11 @@ let tick ?(now = 0.) t =
           conn.c_closing <- true
         end)
       t.conns
+
+let has_queued t =
+  Hashtbl.fold
+    (fun _ ten acc -> acc || Bounded_queue.length ten.t_queue > 0)
+    t.tenants false
 
 let metrics_page t =
   match t.cfg.telemetry with
@@ -444,7 +456,8 @@ let shutdown t =
      emissions) to its subscribers, then say goodbye. *)
   Hashtbl.iter
     (fun _ ten ->
-      drain_all t ten;
+      (* Every connection closes below: no idle clock to restart. *)
+      drain_all ~now:0. t ten;
       match ten.t_multi with
       | None -> ()
       | Some m ->

@@ -71,7 +71,19 @@ val tick : ?now:float -> t -> unit
 (** One scheduler step: feeds up to [drain_quota] queued events per
     tenant (streaming MATCH lines to subscribers, sending RESUME when a
     queue falls under the low-water mark), samples queue-depth
-    telemetry, and expires idle connections. *)
+    telemetry, and expires idle connections. A connection is idle when
+    nothing arrived from it for [idle_timeout] seconds while the server
+    was willing to read it: the clock stops while [Block] backpressure
+    holds the connection unread, and restarts at its RESUME. *)
+
+val has_queued : t -> bool
+(** True while some tenant's ingest queue holds rows, i.e. the next
+    {!tick} has events to feed. An event loop should then poll rather
+    than sleep: a connection with [want_read = false] under [Block]
+    backpressure waits on those rows, and only ticks drain them. Every
+    tick drains up to [drain_quota] rows per tenant, so a loop that
+    ticks while this holds reaches an empty queue and can block
+    again. *)
 
 val connections : t -> int
 val conn_ids : t -> int list

@@ -191,7 +191,12 @@ let serve ?(config = default_config) rt_config =
           (fun fd p acc -> if p.outbuf <> "" then fd :: acc else acc)
           peers []
       in
-      (match Unix.select reads writes [] 0.05 with
+      (* Work-conserving: while a tenant queue holds rows the next
+         [tick] has work, so poll instead of sleeping. A [Block]-paused
+         connection is out of [reads], and nothing else would wake the
+         loop before the timeout. *)
+      let timeout = if Runtime.has_queued rt then 0. else 0.05 in
+      (match Unix.select reads writes [] timeout with
       | rs, ws, _ ->
           List.iter
             (fun fd ->
@@ -199,6 +204,13 @@ let serve ?(config = default_config) rt_config =
                 match Unix.accept listener with
                 | client, _ ->
                     Unix.set_nonblock client;
+                    (* Every reply is a short line; with Nagle's algorithm
+                       one written behind an unacknowledged one waits for
+                       the peer's delayed ACK (~40 ms on Linux). Some
+                       kernels refuse the option once the peer has
+                       reset; the read path then sees the reset. *)
+                    (try Unix.setsockopt client Unix.TCP_NODELAY true
+                     with Unix.Unix_error _ -> ());
                     Hashtbl.replace peers client
                       {
                         fd = client;

@@ -11,7 +11,9 @@
    streams with random register/unregister points and random batch
    boundaries, checking the RESULT lines against a fresh offline
    [Multi] fed the same window; SLOW/RESUME backpressure and the idle
-   timeout are exercised with a manual clock. *)
+   timeout are exercised with a manual clock, and a qcheck property
+   pins what the TCP loop's zero [select] timeout relies on: a
+   connection it must not read always has queued rows behind it. *)
 
 open Ses_event
 open Ses_core
@@ -255,6 +257,195 @@ let test_idle_timeout () =
     "ERR then BYE" true
     (List.mem "ERR idle timeout" lines && List.mem "BYE" lines)
 
+(* A [Block]-paused connection is silent because the server stopped
+   reading it: its idle clock stops at SLOW and restarts at RESUME. *)
+let test_idle_timeout_paused () =
+  let cfg =
+    {
+      (Runtime.default_config ~schema) with
+      Runtime.idle_timeout = 5.;
+      queue_capacity = 4;
+      drain_quota = 1;
+    }
+  in
+  let rt = Runtime.create cfg in
+  let id = Runtime.add_conn ~now:0. rt in
+  List.iter
+    (fun l -> Runtime.input ~now:0. rt id (l ^ "\n"))
+    ("AUTH a" :: batch_lines 10);
+  Runtime.tick ~now:6. rt;
+  Alcotest.(check (list string))
+    "paused, not expired"
+    [ "OK tenant a"; "OK batch 10"; "SLOW" ]
+    (take_lines rt id);
+  (* One row per tick: the eighth tick leaves 2 rows, the low-water
+     mark of a capacity-4 queue. *)
+  List.iter (fun now -> Runtime.tick ~now rt) [ 7.; 8.; 9.; 10.; 11.; 12. ];
+  Alcotest.(check bool) "still paused" false (Runtime.want_read rt id);
+  Runtime.tick ~now:13. rt;
+  Alcotest.(check (list string)) "resumed" [ "RESUME" ] (take_lines rt id);
+  Runtime.tick ~now:17.5 rt;
+  Alcotest.(check bool) "clock restarted at RESUME" false
+    (Runtime.is_closing rt id);
+  Runtime.tick ~now:18.5 rt;
+  Alcotest.(check (list string))
+    "idle after RESUME" [ "ERR idle timeout"; "BYE" ] (take_lines rt id)
+
+(* ---- work-conserving loop ---- *)
+
+(* What an event loop that polls only while [has_queued] relies on: a
+   connection it must not read is always waiting on queued rows, and
+   ticking until the queues are empty resumes every connection. Rows
+   are counted once however they were queued, dropped or drained. *)
+
+type bp_step =
+  | Bp_batch of int * int  (* connection index, rows *)
+  | Bp_tick
+  | Bp_metrics of int
+
+let gen_backpressure =
+  QCheck.Gen.(
+    let* overflow = oneofl [ Runtime.Block; Runtime.Drop_oldest ] in
+    let* capacity = int_range 1 6 in
+    let* quota = int_range 1 4 in
+    let step =
+      frequency
+        [
+          ( 3,
+            map2
+              (fun c n -> Bp_batch (c, n))
+              (int_bound 1)
+              (int_range 1 (3 * capacity)) );
+          (3, return Bp_tick);
+          (1, map (fun c -> Bp_metrics c) (int_bound 1));
+        ]
+    in
+    let* steps = list_size (int_range 1 30) step in
+    return (overflow, capacity, quota, steps))
+
+let print_backpressure (overflow, capacity, quota, steps) =
+  Printf.sprintf "%s capacity=%d quota=%d: %s"
+    (match overflow with Runtime.Block -> "block" | Drop_oldest -> "drop")
+    capacity quota
+    (String.concat " "
+       (List.map
+          (function
+            | Bp_batch (c, n) -> Printf.sprintf "c%d:BATCH %d" c n
+            | Bp_tick -> "tick"
+            | Bp_metrics c -> Printf.sprintf "c%d:METRICS" c)
+          steps))
+
+let stats_events line =
+  match Protocol.parse_reply line with
+  | Ok (Protocol.Stats kvs) -> int_of_string_opt (List.assoc "events" kvs)
+  | _ -> None
+
+let backpressure_invariants =
+  QCheck.Test.make ~count:300
+    ~name:"unread connections wait on queued rows; draining resumes all"
+    (QCheck.make ~print:print_backpressure gen_backpressure)
+    (fun (overflow, capacity, quota, steps) ->
+      let rt =
+        Runtime.create
+          {
+            (Runtime.default_config ~schema) with
+            Runtime.queue_capacity = capacity;
+            overflow;
+            drain_quota = quota;
+          }
+      in
+      let conns = [| Runtime.add_conn rt; Runtime.add_conn rt |] in
+      Array.iter (fun id -> send rt id "AUTH t") conns;
+      send rt conns.(0) "SUBSCRIBE";
+      send rt conns.(0) ("REGISTER q " ^ q_pair);
+      let lines = Array.map (fun _ -> ref []) conns in
+      let accepted = ref 0 and ts = ref 0 in
+      (* Collects output; returns the STATS events= values seen. *)
+      let collect () =
+        Array.to_list conns
+        |> List.mapi (fun i id ->
+               let got = take_lines rt id in
+               lines.(i) := !(lines.(i)) @ got;
+               List.iter
+                 (fun l ->
+                   if String.length l >= 3 && String.sub l 0 3 = "ERR" then
+                     QCheck.Test.fail_reportf "unexpected %S" l;
+                   match Scanf.sscanf_opt l "OK batch %d" Fun.id with
+                   | Some n -> accepted := !accepted + n
+                   | None -> ())
+                 got;
+               List.filter_map stats_events got)
+        |> List.concat
+      in
+      let check_counts () =
+        List.iter
+          (fun events ->
+            if events <> !accepted then
+              QCheck.Test.fail_reportf "STATS events=%d, %d rows accepted"
+                events !accepted)
+          (collect ())
+      in
+      let check_unread_waits () =
+        Array.iter
+          (fun id ->
+            if
+              (not (Runtime.is_closing rt id))
+              && (not (Runtime.want_read rt id))
+              && not (Runtime.has_queued rt)
+            then
+              QCheck.Test.fail_reportf
+                "connection %d unread with every queue empty" id)
+          conns
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Bp_batch (c, n) ->
+              send rt conns.(c) (Printf.sprintf "BATCH %d" n);
+              for _ = 1 to n do
+                incr ts;
+                send rt conns.(c)
+                  (Printf.sprintf "%d,%s,0,%d" (!ts mod 3)
+                     (if !ts mod 2 = 0 then "C" else "D")
+                     !ts)
+              done
+          | Bp_tick -> Runtime.tick rt
+          | Bp_metrics c -> send rt conns.(c) "METRICS");
+          check_counts ();
+          check_unread_waits ())
+        steps;
+      let ticks = ref 0 in
+      while Runtime.has_queued rt do
+        incr ticks;
+        if !ticks > 1000 then
+          QCheck.Test.fail_reportf "queues not empty after 1000 ticks";
+        Runtime.tick rt
+      done;
+      check_counts ();
+      Array.iteri
+        (fun i id ->
+          let signals =
+            List.filter
+              (fun l -> String.equal l "SLOW" || String.equal l "RESUME")
+              !(lines.(i))
+          in
+          let rec alternate = function
+            | [] -> true
+            | "SLOW" :: "RESUME" :: tl -> alternate tl
+            | _ -> false
+          in
+          if not (alternate signals && Runtime.want_read rt id) then
+            QCheck.Test.fail_reportf "connection %d left slowed: %s" id
+              (String.concat " " signals))
+        conns;
+      send rt conns.(1) "METRICS";
+      (match collect () with
+      | [ events ] when events = !accepted -> ()
+      | _ ->
+          QCheck.Test.fail_reportf "final STATS disagrees with %d rows"
+            !accepted);
+      true)
+
 (* ---- differential vs an offline Multi ---- *)
 
 (* A random chronological stream is partitioned into random chunks
@@ -416,6 +607,11 @@ let suite =
     Alcotest.test_case "runtime: drop-oldest backpressure" `Quick
       test_backpressure_drop;
     Alcotest.test_case "runtime: idle timeout" `Quick test_idle_timeout;
+    Alcotest.test_case "runtime: idle clock stops while paused" `Quick
+      test_idle_timeout_paused;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ session_chunking_invariant; runtime_matches_offline ]
+      [
+        session_chunking_invariant; runtime_matches_offline;
+        backpressure_invariants;
+      ]
