@@ -46,7 +46,7 @@
    picked against), plus the telemetry overhead at the tuned batch,
    writing the results to BENCH_batch.json.
 
-   Part 9 measures the index-accelerated access paths: the million-event
+   Part 8 measures the index-accelerated access paths: the million-event
    workload of Part 7 with the access path forced to a full scan and to
    index probes across a selectivity sweep (ID-pinned equality,
    label-only, label+threshold, and an unselective query the cost model
@@ -56,7 +56,7 @@
    Usage: dune exec bench/main.exe
             [-- --quick] [-- --exp N] [-- --no-micro] [-- --no-stream]
             [-- --store-only] [-- --parallel-only] [-- --telemetry-only]
-            [-- --batch-only] [-- --multi-only] [-- --index-only] *)
+            [-- --batch-only] [-- --index-only] *)
 
 open Bechamel
 open Toolkit
@@ -74,8 +74,6 @@ let parallel_only = Array.exists (( = ) "--parallel-only") Sys.argv
 let telemetry_only = Array.exists (( = ) "--telemetry-only") Sys.argv
 
 let batch_only = Array.exists (( = ) "--batch-only") Sys.argv
-
-let multi_only = Array.exists (( = ) "--multi-only") Sys.argv
 
 let index_only = Array.exists (( = ) "--index-only") Sys.argv
 
@@ -687,133 +685,7 @@ let batch_bench () =
   output_char oc '\n';
   close_out oc
 
-(* Part 8: shared-plan multi-query execution. A synthetic 1000-query
-   registration set drawn from two structural templates (a 2-set and a
-   3-set label sequence), instantiated over varying label/threshold
-   constants — the publish/subscribe regime {!Ses_core.Multi}'s shared
-   plan targets. Independent execution routes every event through every
-   query's own filter; the shared plan evaluates the distinct constant
-   atoms once per event in the predicate index and feeds only the
-   queries the event can affect. The two legs must produce the same
-   per-query matches; the wall-clock ratio is the headline. *)
-
-let multi_bench () =
-  let module RW = Ses_gen.Random_workload in
-  let n_queries = if quick then 100 else 1_000 in
-  let spec =
-    {
-      RW.n_events = (if quick then 2_000 else 20_000);
-      n_labels = 26;
-      n_ids = 8;
-      min_gap = 0;
-      max_gap = 2;
-      max_value = 9;
-    }
-  in
-  let d = RW.relation (Ses_gen.Prng.create 11L) spec in
-  let n_events = Ses_event.Relation.cardinality d in
-  let module P = Ses_pattern.Pattern in
-  let module V = Ses_pattern.Variable in
-  let lbl i = String.make 1 (Char.chr (Char.code 'a' + (i mod 26))) in
-  let label_cond v i =
-    P.Spec.const v "L" Ses_event.Predicate.Eq (Ses_event.Value.Str (lbl i))
-  in
-  let two_set i =
-    P.make_exn ~schema:RW.schema
-      ~sets:[ [ V.singleton "p" ]; [ V.singleton "s" ] ]
-      ~where:[ label_cond "p" i; label_cond "s" (i / 26) ]
-      ~within:6
-  in
-  let three_set i =
-    P.make_exn ~schema:RW.schema
-      ~sets:[ [ V.singleton "p" ]; [ V.singleton "s" ]; [ V.singleton "r" ] ]
-      ~where:
-        [
-          label_cond "p" i;
-          label_cond "s" (i / 26);
-          label_cond "r" (i / 2);
-          P.Spec.const "r" "V" Ses_event.Predicate.Ge
-            (Ses_event.Value.Int (1 + (i mod 5)));
-        ]
-      ~within:8
-  in
-  let queries =
-    List.init n_queries (fun i ->
-        let pattern = if i mod 2 = 0 then two_set (i / 2) else three_set (i / 2) in
-        (Printf.sprintf "q%04d" i, Ses_core.Automaton.of_pattern pattern, `Plain))
-  in
-  let options =
-    {
-      Ses_core.Engine.default_options with
-      Ses_core.Engine.filter = Ses_core.Event_filter.Strong;
-      finalize = false;
-    }
-  in
-  let run shared =
-    time (fun () ->
-        let t = Ses_core.Multi.create_mixed ~options ~shared queries in
-        Seq.iter
-          (fun e -> ignore (Ses_core.Multi.feed t e))
-          (Ses_event.Relation.to_seq d);
-        ignore (Ses_core.Multi.close t);
-        t)
-  in
-  let t_ind, ind_s = run false in
-  let t_sh, sh_s = run true in
-  let raw_of t =
-    List.map
-      (fun (n, (o : Ses_core.Engine.outcome)) ->
-        ( n,
-          List.sort Ses_core.Substitution.compare_canonical
-            (List.map Ses_core.Substitution.canonical o.raw) ))
-      (Ses_core.Multi.outcomes t)
-  in
-  let matches_equal = raw_of t_ind = raw_of t_sh in
-  if not matches_equal then
-    Printf.eprintf "warning: shared multi changed the per-query matches\n";
-  let stats =
-    match Ses_core.Multi.shared_stats t_sh with
-    | [ s ] -> s
-    | _ -> failwith "multi_bench: expected one sequential shared plan"
-  in
-  let module SP = Ses_core.Shared_plan in
-  let group_counts =
-    List.sort
-      (fun a b -> Int.compare b a)
-      (List.map List.length stats.SP.st_template_groups)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"workload\": {\"events\": %d, \"queries\": %d, \"templates\": 2},\n\
-      \  \"cores_available\": %d,\n\
-      \  \"independent_s\": %.6f, \"shared_s\": %.6f, \"speedup\": %.2f,\n\
-      \  \"events_per_sec\": {\"independent\": %.0f, \"shared\": %.0f},\n\
-      \  \"matches_equal\": %b,\n\
-      \  \"sharing\": {\"template_group_sizes\": [%s]},\n\
-      \  \"predicate_index\": {\"atoms\": %d, \"evaluated\": %d, \"saved\": \
-       %d,\n\
-      \                      \"hit_rate\": %.4f}\n\
-       }"
-      n_events n_queries
-      (Ses_core.Domain_pool.recommended ())
-      ind_s sh_s (ind_s /. sh_s)
-      (float_of_int n_events /. ind_s)
-      (float_of_int n_events /. sh_s)
-      matches_equal
-      (String.concat ", " (List.map string_of_int group_counts))
-      stats.SP.st_index_atoms stats.SP.st_index_evaluated
-      stats.SP.st_index_saved stats.SP.st_index_hit_rate
-  in
-  Printf.printf "Shared-plan multi-query execution (JSON)\n";
-  Printf.printf "----------------------------------------\n";
-  Printf.printf "%s\n\n" json;
-  let oc = open_out "BENCH_multi.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc
-
-(* Part 9: index-accelerated access paths. The batched-core workload
+(* Part 8: index-accelerated access paths. The batched-core workload
    (~1M events as dense simultaneous arrivals over ~1k entity keys)
    evaluated through {!Ses_harness.Access_exec} with the access path
    forced both ways, across a selectivity sweep: an ID-pinned equality
@@ -1071,7 +943,6 @@ let () =
   else if parallel_only then parallel_bench ()
   else if telemetry_only then telemetry_bench ()
   else if batch_only then batch_bench ()
-  else if multi_only then multi_bench ()
   else if index_only then index_bench ()
   else begin
     run_tables ();
@@ -1081,6 +952,5 @@ let () =
     parallel_bench ();
     telemetry_bench ();
     batch_bench ();
-    multi_bench ();
     index_bench ()
   end

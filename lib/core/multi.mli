@@ -9,29 +9,27 @@
     a partitionable pattern can run per-key pools while its neighbours
     run the plain engine.
 
-    {b Shared plan (default).} With [shared = true], registrations are
-    compiled into one {!Shared_plan}: the distinct constant predicates
-    across all queries' filters are evaluated once per event by a
-    predicate index, which routes each event only to the executors of
-    the queries it can affect. Every registration keeps its own
-    executor, so routing is result-transparent: per-query matches, raw
-    emissions and metrics equal the [shared = false] independent
-    execution. Set [shared = false] to feed one isolated executor per
-    query every event — the differential baseline the equivalence tests
-    compare against.
+    {b Shared plan.} Registrations live in one {!Shared_plan}: the
+    distinct constant predicates across all queries' filters are
+    evaluated once per event by a predicate index, which routes each
+    event only to the executors of the queries it can affect. Every
+    registration keeps its own executor, so routing is
+    result-transparent: per-query matches, raw emissions and metrics
+    equal those of one isolated executor per query fed every event.
+    {!register} and {!unregister} add and retire one query in place, at
+    any point of the stream.
 
     {b Domain-parallel mode.} When [options.domains > 1] (clamped to the
     number of queries), worker domains process the broadcast feed in
-    parallel. Queries are dealt round-robin to the workers; in shared
-    mode each worker builds its own shared plan over its queries (on its
-    own domain).
-    Either way each query is still evaluated by one domain, strictly
+    parallel. Queries are dealt round-robin to the workers, and each
+    worker builds its own shared plan over its queries (on its own
+    domain). Each query is still evaluated by one domain, strictly
     sequentially, so per-query results are identical to the sequential
     mode. Operationally (mirroring {!Partitioned}'s sharded mode):
     [feed] returns [[]] — completions surface at [close]/{!outcomes} —
     [population]/{!outcomes} quiesce the workers first, [close] joins
     the domains and forbids further feeding, and worker exceptions
-    re-raise at the next call. Executors inside a parallel Multi are
+    re-raise at the next call. Plans inside a parallel Multi are
     created with [domains = 1]: queries do not nest domain pools. *)
 
 open Ses_event
@@ -41,43 +39,39 @@ type t
 val create :
   ?options:Engine.options ->
   ?strategy:Executor.strategy ->
-  ?shared:bool ->
   (string * Automaton.t) list ->
   t
 (** Registers named queries, all under one strategy (default [`Plain]).
     Names must be distinct and non-empty; raises [Invalid_argument]
-    otherwise. The options apply to every query. [shared] (default
-    [true]) selects the shared-plan backend. *)
+    otherwise. The options apply to every query. The list may be empty:
+    a sequential query set can be filled with {!register}. *)
 
 val create_mixed :
   ?options:Engine.options ->
-  ?shared:bool ->
   (string * Automaton.t * Executor.strategy) list ->
   t
 (** Per-query strategies. *)
 
 val register : t -> string * Automaton.t * Executor.strategy -> unit
-(** Adds a query to a live sequential query set. Before the first event
-    is fed, a shared backend rebuilds its (still empty) plan so the
-    newcomer is routed too; afterwards it runs as an independent
-    executor beside the plan (it must not observe events fed before it
-    existed).
-    Raises [Invalid_argument] on an empty or duplicate name, or on a
-    domain-parallel query set (those are fixed at creation). *)
+(** Adds a query to a live sequential query set, routed like every
+    other ({!Shared_plan.register}). It observes only the events fed
+    after it: its outcome and metrics equal an isolated run over that
+    suffix.
+    Raises [Invalid_argument] on an empty or duplicate name, on a closed
+    query set, or on a domain-parallel query set (those are fixed at
+    creation). *)
 
 val unregister : t -> string -> Engine.outcome
 (** Removes a query from a live sequential query set and returns its
     finalized outcome to date, accepting instances flushed in close
     order. The remaining queries' future matches and metrics are as if
-    the set had been built without it: each runs its own executor (see
+    the set had been built without it: each runs its own executor, and
+    the retiree's predicate-index slot goes with it (see
     {!Shared_plan.retire}).
-    Raises [Invalid_argument] on an unknown name or a domain-parallel
-    query set. *)
+    Raises [Invalid_argument] on an unknown name, a closed query set or
+    a domain-parallel query set. *)
 
 val names : t -> string list
-
-val strategy_names : t -> (string * string) list
-(** Query name paired with the executor name serving it. *)
 
 val n_domains : t -> int
 (** Worker domains in use (1 in sequential mode). *)
@@ -104,21 +98,19 @@ val outcomes : t -> (string * Engine.outcome) list
 
 val merged_metrics : t -> Metrics.snapshot
 (** The cross-query view, via {!Metrics.merge_replicas}: every query
-    observes the whole feed (shared-mode metrics are compensated to the
-    independent view), so the input counters take the max and the work
+    observes the whole feed (routed metrics are compensated to the
+    unrouted view), so the input counters take the max and the work
     counters (including the instance peaks) sum. Deterministic in both
     sequential and domain-parallel mode. *)
 
 val shared_stats : t -> Shared_plan.stats list
-(** The shared plan's routing summary — routed queries, template
-    groups, predicate-index hit rate. One entry per worker plan in
-    domain-parallel shared mode, a singleton in sequential shared mode,
-    [[]] for [shared = false]. *)
+(** The shared plan's routing summary — routed queries, indexed atoms,
+    predicate-index hit rate. One entry per worker plan in
+    domain-parallel mode, a singleton in sequential mode. *)
 
 val run :
   ?options:Engine.options ->
   ?strategy:Executor.strategy ->
-  ?shared:bool ->
   (string * Automaton.t) list ->
   Event.t Seq.t ->
   (string * Engine.outcome) list

@@ -56,7 +56,7 @@ let atom_key (field, op, v) =
       Buffer.add_string b s);
   Buffer.contents b
 
-let create specs =
+let create ?continue_from specs =
   let n_queries = Array.length specs in
   let ids = Hashtbl.create 64 in
   let atoms_rev = ref [] in
@@ -189,8 +189,8 @@ let create specs =
     q_stamp = Array.make (max 1 n_queries) 0;
     naive_cost = !naive_cost;
     stamp = 0;
-    evaluated = 0;
-    saved = 0;
+    evaluated = Option.fold ~none:0 ~some:(fun t -> t.evaluated) continue_from;
+    saved = Option.fold ~none:0 ~some:(fun t -> t.saved) continue_from;
   }
 
 let atom_true t e i =

@@ -29,11 +29,13 @@ type atom = Schema.Field.t * Predicate.op * Value.t
 
 type t
 
-val create : atom list list option array -> t
+val create : ?continue_from:t -> atom list list option array -> t
 (** One slot per query id: [Some clauses] registers the query's strong
     clauses (relevant iff some clause is fully satisfied), [None] marks
     it unroutable — it is reported relevant to every event, as is a
-    query with a vacuous (empty) clause. *)
+    query with a vacuous (empty) clause. [continue_from] is an index the
+    new one replaces: its {!evaluated} and {!saved} totals carry over,
+    so both stay cumulative across rebuilds. *)
 
 val relevant : t -> Event.t -> int list
 (** Query ids the event may affect: the unroutable queries followed by

@@ -11,7 +11,11 @@ open Ses_event
      holds instances;
    - a gated executor skips non-routed events entirely, exactly the
      events its own filter would have dropped; they are accounted back
-     when its metrics are read. *)
+     when its metrics are read.
+
+   Registration and retirement edit the member array in place; the index
+   over the live members is rebuilt lazily, at the next feed or stats
+   read, so a burst of registrations pays for one rebuild. *)
 
 type atom = Schema.Field.t * Predicate.op * Value.t
 
@@ -41,30 +45,9 @@ let routing options (r : reg) : (atom list list * bool) option =
       | Some clauses -> Some (clauses, true))
   | _ -> None
 
-(* Registration indices grouped by constant-free skeleton; only groups
-   of ≥ 2, in first-registration order. *)
-let templates regs =
-  let by_skel : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  Array.iteri
-    (fun i r ->
-      let skel, _ = Query_sig.skeleton r.r_automaton in
-      (match Hashtbl.find_opt by_skel skel with
-      | None -> order := skel :: !order
-      | Some _ -> ());
-      Hashtbl.replace by_skel skel
-        (i :: Option.value ~default:[] (Hashtbl.find_opt by_skel skel)))
-    regs;
-  List.filter_map
-    (fun k ->
-      match List.rev (Hashtbl.find by_skel k) with
-      | _ :: _ :: _ as g -> Some g
-      | _ -> None)
-    (List.rev !order)
-
 type feed_mode =
   | Always  (** whole feed: unroutable, or a strategy that needs it *)
-  | Routed of { gated : bool }
+  | Routed of { clauses : atom list list; gated : bool }
       (** only routed events (plus, when not gated, any event arriving
           while the executor holds instances — expiry timing) *)
 
@@ -73,7 +56,7 @@ type member = {
   m_reg : reg;
   m_exec : Executor.packed;
   m_mode : feed_mode;
-  mutable m_retired : bool;  (* removed by {!retire}: executor closed *)
+  m_base : int;  (* events the plan was fed before this registration *)
   mutable m_fed : int;
   mutable m_live : bool;  (* population > 0 after the last flush *)
   mutable m_pending_routed : bool;
@@ -82,10 +65,11 @@ type member = {
 }
 
 type t = {
-  sp_members : member array;  (* registration order *)
-  sp_index : Predicate_index.t;
-  sp_slot_member : int array;  (* index slot -> member *)
-  sp_templates : int list list;
+  sp_options : Engine.options;
+  mutable sp_members : member array;  (* registration order *)
+  mutable sp_index : Predicate_index.t;
+  mutable sp_slot_member : int array;  (* index slot -> member *)
+  mutable sp_index_stale : bool;  (* members changed since the last build *)
   mutable sp_total_events : int;
   mutable sp_last_ts : Time.t option;
   mutable sp_closed : bool;
@@ -95,49 +79,59 @@ type t = {
   mutable sp_synced_saved : int;
 }
 
-let create ~options regs_list =
-  let regs = Array.of_list regs_list in
-  let built =
-    Array.map
-      (fun r ->
-        let mode, clauses, exec_options =
-          match routing options r with
-          | None -> (Always, None, options)
-          | Some (cl, gated) ->
-              (* A gated [`Plain] member receives only events its strong
-                 filter keeps, so the executor's own filter pass is
-                 redundant work: strip it. The metrics difference is
-                 compensated at snapshot. *)
-              let opts =
-                if gated && r.r_strategy = `Plain then
-                  { options with Engine.filter = Event_filter.No_filter }
-                else options
-              in
-              (Routed { gated }, Some cl, opts)
+let register t r =
+  if t.sp_closed then invalid_arg "Shared_plan.register: plan is closed";
+  let options = t.sp_options in
+  let mode, exec_options =
+    match routing options r with
+    | None -> (Always, options)
+    | Some (clauses, gated) ->
+        (* A gated [`Plain] member receives only events its strong
+           filter keeps, so the executor's own filter pass is redundant
+           work: strip it. The metrics difference is compensated at
+           snapshot. *)
+        let opts =
+          if gated && r.r_strategy = `Plain then
+            { options with Engine.filter = Event_filter.No_filter }
+          else options
         in
-        ( {
-            m_reg = r;
-            m_exec = Executor.create ~options:exec_options r.r_strategy r.r_automaton;
-            m_mode = mode;
-            m_retired = false;
-            m_fed = 0;
-            m_live = false;
-            m_pending_routed = false;
-            m_buf = [||];
-            m_buf_n = 0;
-          },
-          clauses ))
-      regs
+        (Routed { clauses; gated }, opts)
   in
-  (* One index slot per routed member. *)
-  let slots =
-    List.filter_map
-      (fun i ->
-        match built.(i) with
-        | { m_mode = Routed _; _ }, clauses -> Some (clauses, i)
-        | { m_mode = Always; _ }, _ -> None)
-      (List.init (Array.length built) Fun.id)
+  let m =
+    {
+      m_reg = r;
+      m_exec = Executor.create ~options:exec_options r.r_strategy r.r_automaton;
+      m_mode = mode;
+      m_base = t.sp_total_events;
+      m_fed = 0;
+      m_live = false;
+      m_pending_routed = false;
+      m_buf = [||];
+      m_buf_n = 0;
+    }
   in
+  t.sp_members <- Array.append t.sp_members [| m |];
+  t.sp_index_stale <- true
+
+(* One index slot per routed member, over the live members. *)
+let refresh_index t =
+  if t.sp_index_stale then begin
+    let slots =
+      List.filter_map
+        (fun (i, m) ->
+          match m.m_mode with
+          | Routed { clauses; _ } -> Some (Some clauses, i)
+          | Always -> None)
+        (List.mapi (fun i m -> (i, m)) (Array.to_list t.sp_members))
+    in
+    t.sp_index <-
+      Predicate_index.create ~continue_from:t.sp_index
+        (Array.of_list (List.map fst slots));
+    t.sp_slot_member <- Array.of_list (List.map snd slots);
+    t.sp_index_stale <- false
+  end
+
+let create ~options regs =
   let c_eval, c_saved =
     match options.Engine.telemetry with
     | None -> (None, None)
@@ -145,19 +139,24 @@ let create ~options regs_list =
         ( Some (Telemetry.counter tl "multi.shared.predicates_evaluated"),
           Some (Telemetry.counter tl "multi.shared.predicates_saved") )
   in
-  {
-    sp_members = Array.map fst built;
-    sp_index = Predicate_index.create (Array.of_list (List.map fst slots));
-    sp_slot_member = Array.of_list (List.map snd slots);
-    sp_templates = templates regs;
-    sp_total_events = 0;
-    sp_last_ts = None;
-    sp_closed = false;
-    sp_c_eval = c_eval;
-    sp_c_saved = c_saved;
-    sp_synced_eval = 0;
-    sp_synced_saved = 0;
-  }
+  let t =
+    {
+      sp_options = options;
+      sp_members = [||];
+      sp_index = Predicate_index.create [||];
+      sp_slot_member = [||];
+      sp_index_stale = false;
+      sp_total_events = 0;
+      sp_last_ts = None;
+      sp_closed = false;
+      sp_c_eval = c_eval;
+      sp_c_saved = c_saved;
+      sp_synced_eval = 0;
+      sp_synced_saved = 0;
+    }
+  in
+  List.iter (register t) regs;
+  t
 
 let sync_counters t =
   match t.sp_c_eval with
@@ -188,15 +187,14 @@ let dispatch t e =
     (Predicate_index.relevant t.sp_index e)
 
 let takes m =
-  (not m.m_retired)
-  &&
   match m.m_mode with
   | Always -> true
-  | Routed { gated } -> m.m_pending_routed || ((not gated) && m.m_live)
+  | Routed { gated; _ } -> m.m_pending_routed || ((not gated) && m.m_live)
 
 let feed t e =
   if t.sp_closed then invalid_arg "Multi.feed: query set is closed";
   check_ts t (Event.ts e);
+  refresh_index t;
   t.sp_total_events <- t.sp_total_events + 1;
   dispatch t e;
   let out = ref [] in
@@ -233,6 +231,7 @@ let feed_batch t events =
   if n = 0 then []
   else begin
     Array.iter (fun e -> check_ts t (Event.ts e)) events;
+    refresh_index t;
     t.sp_total_events <- t.sp_total_events + n;
     Array.iter
       (fun m ->
@@ -272,30 +271,28 @@ let close t =
     let out = ref [] in
     Array.iter
       (fun m ->
-        if not m.m_retired then
-          match Executor.close m.m_exec with
-          | [] -> ()
-          | flushed -> out := (m.m_reg.r_name, flushed) :: !out)
+        match Executor.close m.m_exec with
+        | [] -> ()
+        | flushed -> out := (m.m_reg.r_name, flushed) :: !out)
       t.sp_members;
     sync_counters t;
     List.rev !out
   end
 
-let events_fed t = t.sp_total_events
-
 (* ------------------------------------------------------------------ *)
 (* Read-side: per-registration results.                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Metrics as if the member had been fed the whole stream: skipped
-   events are accounted as a gated executor's filter would have dropped
-   them, or as the fresh instances an ungated one would have created. *)
+(* Metrics as if the member had been fed every event since it
+   registered: skipped events are accounted as a gated executor's filter
+   would have dropped them, or as the fresh instances an ungated one
+   would have created. *)
 let metrics t m =
-  let n = t.sp_total_events in
+  let n = t.sp_total_events - m.m_base in
   let snap = Executor.metrics m.m_exec in
   match m.m_mode with
   | Always -> snap
-  | Routed { gated } ->
+  | Routed { gated; _ } ->
       if gated then
         {
           snap with
@@ -324,22 +321,23 @@ let result_of t m =
     q_metrics = metrics t m;
   }
 
-let live t = List.filter (fun m -> not m.m_retired) (Array.to_list t.sp_members)
-
-let results t = List.map (result_of t) (live t)
+let results t = List.map (result_of t) (Array.to_list t.sp_members)
 
 let population t =
-  List.fold_left (fun acc m -> acc + Executor.population m.m_exec) 0 (live t)
+  Array.fold_left (fun acc m -> acc + Executor.population m.m_exec) 0 t.sp_members
 
 let retire t name =
   if t.sp_closed then invalid_arg "Shared_plan.retire: plan is closed";
-  match List.find_opt (fun m -> String.equal m.m_reg.r_name name) (live t) with
+  let is_named m = String.equal m.m_reg.r_name name in
+  match Array.find_opt is_named t.sp_members with
   | None -> invalid_arg ("Shared_plan.retire: unknown query " ^ name)
   | Some m ->
       (* The executor's run ends here, close-time flush included. *)
       ignore (Executor.close m.m_exec);
-      m.m_retired <- true;
-      m.m_live <- false;
+      t.sp_members <-
+        Array.of_list
+          (List.filter (fun x -> not (is_named x)) (Array.to_list t.sp_members));
+      t.sp_index_stale <- true;
       result_of t m
 
 (* ------------------------------------------------------------------ *)
@@ -350,7 +348,6 @@ type stats = {
   st_routed : string list;
   st_merged_queries : int;
   st_aliased_queries : int;
-  st_template_groups : string list list;
   st_index_atoms : int;
   st_index_evaluated : int;
   st_index_saved : int;
@@ -358,7 +355,7 @@ type stats = {
 }
 
 let stats t =
-  let name i = t.sp_members.(i).m_reg.r_name in
+  refresh_index t;
   {
     st_routed =
       List.filter_map
@@ -366,10 +363,9 @@ let stats t =
           match m.m_mode with
           | Routed _ -> Some m.m_reg.r_name
           | Always -> None)
-        (live t);
+        (Array.to_list t.sp_members);
     st_merged_queries = 0;
     st_aliased_queries = 0;
-    st_template_groups = List.map (List.map name) t.sp_templates;
     st_index_atoms = Predicate_index.n_atoms t.sp_index;
     st_index_evaluated = Predicate_index.evaluated t.sp_index;
     st_index_saved = Predicate_index.saved t.sp_index;

@@ -1,20 +1,24 @@
 (** The routing pipeline behind {!Multi}.
 
-    Given a set of named query registrations, builds one plan with one
-    executor per registration behind a shared {!Predicate_index}: the
-    distinct constant atoms across all queries' strong-filter clauses
-    are evaluated once per event, and each query learns whether the
-    event can affect it without re-testing shared atoms. A query whose
-    executor gates on its strong filter is fed only its routed
-    subsequence; a routed query that does not gate is also fed every
-    event while it holds instances (τ-expiry timing); an unroutable
-    query is fed everything.
+    Holds one executor per named query registration behind a shared
+    {!Predicate_index}: the distinct constant atoms across all queries'
+    strong-filter clauses are evaluated once per event, and each query
+    learns whether the event can affect it without re-testing shared
+    atoms. A query whose executor gates on its strong filter is fed only
+    its routed subsequence; a routed query that does not gate is also
+    fed every event while it holds instances (τ-expiry timing); an
+    unroutable query is fed everything.
+
+    Queries join with {!register} and leave with {!retire}, at any point
+    of the stream; each costs one executor. The index is rebuilt from
+    the live members lazily, at the next feed or {!stats} read, and its
+    evaluation counters stay cumulative across rebuilds.
 
     Per-query raw emissions, matches and metrics are identical to
-    running each registration independently, raw emission order
-    included: routing only skips events that could neither fire a
-    transition nor kill an instance, and skipped events are accounted
-    back into the metrics. *)
+    running each registration alone over the events fed while it was
+    registered, raw emission order included: routing only skips events
+    that could neither fire a transition nor kill an instance, and
+    skipped events are accounted back into the metrics. *)
 
 open Ses_event
 
@@ -27,6 +31,15 @@ type reg = {
 type t
 
 val create : options:Engine.options -> reg list -> t
+(** A plan over the registrations, in order, as if each were
+    {!register}ed before the first event. *)
+
+val register : t -> reg -> unit
+(** Adds a registration behind the index. It observes only events fed
+    from now on: its metrics count from this point ([events_seen],
+    [events_filtered] and [instances_created] included). Names are not
+    checked for uniqueness (that is {!Multi}'s job). Raises
+    [Invalid_argument] if the plan is closed. *)
 
 val feed : t -> Event.t -> (string * Substitution.t list) list
 (** Pushes one event (chronological order required) and returns, per
@@ -53,20 +66,18 @@ type query_result = {
 }
 
 val results : t -> query_result list
-(** Per-registration raw emissions and metrics, in registration order.
-    Metrics are compensated so they equal independent execution's.
-    Registrations removed by {!retire} are omitted. *)
+(** Per-registration raw emissions and metrics of the live
+    registrations, in registration order. Metrics are compensated so
+    they equal those of the registration's executor run alone over the
+    events fed since it registered. *)
 
 val retire : t -> string -> query_result
 (** Removes a registered query from a live plan and returns its outcome
     to date: its executor is closed, so the raw emissions include the
     close-time flush. The remaining queries are untouched — each has its
-    own executor — and the retiree's predicate-index slot stops routing.
+    own executor — and the retiree's predicate-index slot goes with it.
     Raises [Invalid_argument] on an unknown (or already retired) name,
     or if the plan is closed. *)
-
-val events_fed : t -> int
-(** Events pushed so far ([feed] counts 1, [feed_batch] its length). *)
 
 (** {1 Introspection} *)
 
@@ -80,12 +91,9 @@ type stats = {
           summary (the end-to-end benchmark's traced run reports both). *)
   st_aliased_queries : int;
       (** Always 0: no query shares another's executor. *)
-  st_template_groups : string list list;
-      (** registration names per template (queries equal up to
-          constants), groups of two or more *)
-  st_index_atoms : int;
-  st_index_evaluated : int;
-  st_index_saved : int;
+  st_index_atoms : int;  (** distinct atoms over the live registrations *)
+  st_index_evaluated : int;  (** cumulative over index rebuilds *)
+  st_index_saved : int;  (** cumulative over index rebuilds *)
   st_index_hit_rate : float;
 }
 

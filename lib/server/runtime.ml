@@ -25,7 +25,7 @@ type config = {
 let default_config ~schema =
   {
     schema;
-    (* Runtime register/unregister needs the sequential backends. *)
+    (* Runtime register/unregister needs a sequential query set. *)
     options = { Engine.default_options with Engine.domains = 1 };
     queue_capacity = 1024;
     overflow = Block;
@@ -36,7 +36,7 @@ let default_config ~schema =
 
 type tenant = {
   t_name : string;
-  mutable t_multi : Multi.t option;  (* created at the first REGISTER *)
+  t_multi : Multi.t;
   t_queue : Event.t Bounded_queue.t;
   mutable t_queries : (string * Pattern.t) list;
   mutable t_seq : int;
@@ -128,7 +128,7 @@ let find_tenant t name =
       let ten =
         {
           t_name = name;
-          t_multi = None;
+          t_multi = Multi.create_mixed ~options:t.cfg.options [];
           t_queue = Bounded_queue.create ~capacity:t.cfg.queue_capacity;
           t_queries = [];
           t_seq = 0;
@@ -182,11 +182,7 @@ let drain_tenant ~now t ten ~quota =
   let events = Bounded_queue.drain ten.t_queue ~max:quota in
   (if events <> [] then
      let tok = Option.map Telemetry.Span.start t.span_ingest in
-     (match ten.t_multi with
-     | None -> ()
-     | Some m ->
-         let completions = Multi.feed_batch m (Array.of_list events) in
-         broadcast t ten completions);
+     broadcast t ten (Multi.feed_batch ten.t_multi (Array.of_list events));
      match (t.span_ingest, tok) with
      | Some sp, Some tk -> Telemetry.Span.stop sp tk
      | _ -> ());
@@ -235,31 +231,22 @@ let register_query ~now t conn ten name query_text =
         (* Barrier: queued events were sent before this REGISTER, so the
            new query must not observe them through a later drain. *)
         drain_all ~now t ten;
-        match ten.t_multi with
-        | None ->
-            ten.t_multi <-
-              Some
-                (Multi.create_mixed ~options:t.cfg.options
-                   [ (name, automaton, `Plain) ]);
+        match Multi.register ten.t_multi (name, automaton, `Plain) with
+        | () ->
             ten.t_queries <- ten.t_queries @ [ (name, pattern) ];
             send conn (Protocol.Ok_done (Some ("registered " ^ name)))
-        | Some m -> (
-            match Multi.register m (name, automaton, `Plain) with
-            | () ->
-                ten.t_queries <- ten.t_queries @ [ (name, pattern) ];
-                send conn (Protocol.Ok_done (Some ("registered " ^ name)))
-            | exception Invalid_argument msg ->
-                send conn (Protocol.Err ("register " ^ name ^ ": " ^ msg))))
+        | exception Invalid_argument msg ->
+            send conn (Protocol.Err ("register " ^ name ^ ": " ^ msg)))
 
 let unregister_query ~now t conn ten name =
   match List.assoc_opt name ten.t_queries with
   | None -> send conn (Protocol.Err ("unregister " ^ name ^ ": unknown query"))
   | Some pattern -> (
       drain_all ~now t ten;
-      match Option.map (fun m -> Multi.unregister m name) ten.t_multi with
-      | None | (exception Invalid_argument _) ->
+      match Multi.unregister ten.t_multi name with
+      | exception Invalid_argument _ ->
           send conn (Protocol.Err ("unregister " ^ name ^ ": unknown query"))
-      | Some (outcome : Engine.outcome) ->
+      | (outcome : Engine.outcome) ->
           ten.t_queries <- List.remove_assoc name ten.t_queries;
           let subs = subscribers t ten.t_name in
           List.iter
@@ -458,11 +445,7 @@ let shutdown t =
     (fun _ ten ->
       (* Every connection closes below: no idle clock to restart. *)
       drain_all ~now:0. t ten;
-      match ten.t_multi with
-      | None -> ()
-      | Some m ->
-          let flushed = Multi.close m in
-          broadcast t ten flushed)
+      broadcast t ten (Multi.close ten.t_multi))
     t.tenants;
   Hashtbl.iter
     (fun _ conn ->

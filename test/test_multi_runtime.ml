@@ -2,12 +2,13 @@
    properties (the server depends on them): after [Multi.unregister],
    the surviving queries' matches, raw emissions and metrics — including
    [instances_expired] — are exactly those of a fresh Multi built
-   without the removed query and fed the same stream; and the removed
+   without the removed query and fed the same stream; the removed
    query's returned outcome is that of an offline run over the events
-   fed before its removal. Checked on the shared (routed) backend and
-   the independent backend, over a deterministic fixture with
-   byte-identical registrations and random workloads, with the removal
-   point swept across the stream. *)
+   fed before its removal; and a query registered mid-stream is routed
+   like any other and equals an offline run over the events fed after
+   it. Checked over a deterministic fixture with byte-identical
+   registrations and over random workloads, with the registration and
+   removal points swept across the stream. *)
 
 open Ses_event
 open Ses_pattern
@@ -36,9 +37,9 @@ let observe_outcomes outs =
     outs
 
 (* Feed [events] one at a time, removing [victim] after [at] events. *)
-let run_with_unregister ?(options = Engine.default_options) ~shared ~victim
-    ~at queries events =
-  let t = Multi.create_mixed ~options ~shared queries in
+let run_with_unregister ?(options = Engine.default_options) ~victim ~at
+    queries events =
+  let t = Multi.create_mixed ~options queries in
   let removed = ref None in
   Array.iteri
     (fun i e ->
@@ -49,8 +50,8 @@ let run_with_unregister ?(options = Engine.default_options) ~shared ~victim
   ignore (Multi.close t);
   (observe_outcomes (Multi.outcomes t), Option.get !removed)
 
-let run_plain ?(options = Engine.default_options) ~shared queries events =
-  let t = Multi.create_mixed ~options ~shared queries in
+let run_plain ?(options = Engine.default_options) queries events =
+  let t = Multi.create_mixed ~options queries in
   Array.iter (fun e -> ignore (Multi.feed t e)) events;
   ignore (Multi.close t);
   observe_outcomes (Multi.outcomes t)
@@ -131,18 +132,16 @@ let fixture_victims =
 let without victim queries =
   List.filter (fun (n, _, _) -> n <> victim) queries
 
-let test_fixture_survivors shared () =
+let test_fixture_survivors () =
   List.iter
     (fun victim ->
       List.iter
         (fun at ->
           let queries = fixture_queries () in
-          let live, _ =
-            run_with_unregister ~shared ~victim ~at queries fixture_events
-          in
-          let fresh = run_plain ~shared (without victim queries) fixture_events in
+          let live, _ = run_with_unregister ~victim ~at queries fixture_events in
+          let fresh = run_plain (without victim queries) fixture_events in
           check_observed
-            (Printf.sprintf "victim %s at %d (shared=%b)" victim at shared)
+            (Printf.sprintf "victim %s at %d" victim at)
             fresh live)
         (* before anything; mid-prefix instances alive; after expiries *)
         [ 0; 8; 12 ])
@@ -153,8 +152,7 @@ let test_fixture_expiry_exercised () =
      if survivors actually expire instances after the removal point. *)
   let queries = fixture_queries () in
   let live, _ =
-    run_with_unregister ~shared:true ~victim:"pfx-c" ~at:8 queries
-      fixture_events
+    run_with_unregister ~victim:"pfx-c" ~at:8 queries fixture_events
   in
   let m = (List.assoc "pfx-end" live).o_metrics in
   Alcotest.(check bool) "survivor expiries" true
@@ -168,9 +166,7 @@ let test_retiree_outcome () =
       List.iter
         (fun at ->
           let queries = fixture_queries () in
-          let _, out =
-            run_with_unregister ~shared:true ~victim ~at queries fixture_events
-          in
+          let _, out = run_with_unregister ~victim ~at queries fixture_events in
           let offline =
             Multi.run
               (List.filter_map
@@ -190,66 +186,112 @@ let test_retiree_outcome () =
         [ 0; 8; 12 ])
     fixture_victims
 
-let test_register_before_feed_shares () =
-  (* Registering before the first event rebuilds the plan: same results
-     and the same routing as creation-time registration. *)
+let test_registered_before_feed_routed () =
+  (* Registering one query at a time before the first event gives the
+     same results and the same routing as creation-time registration. *)
   let queries = fixture_queries () in
   let t = Multi.create_mixed [ List.hd queries ] in
   List.iter (Multi.register t) (List.tl queries);
   Array.iter (fun e -> ignore (Multi.feed t e)) fixture_events;
   ignore (Multi.close t);
   let live = observe_outcomes (Multi.outcomes t) in
-  let fresh = run_plain ~shared:true queries fixture_events in
+  let fresh = run_plain queries fixture_events in
   check_observed "register-then-feed" fresh live;
   match Multi.shared_stats t with
   | [ stats ] ->
       Alcotest.(check (list string))
-        "every plain query routed after rebuild"
+        "every plain query routed"
         (List.map (fun (n, _, _) -> n) queries)
         stats.Shared_plan.st_routed;
-      Alcotest.(check bool) "index holds atoms after rebuild" true
+      Alcotest.(check bool) "index holds atoms" true
         (stats.Shared_plan.st_index_atoms > 0);
-      Alcotest.(check int) "nothing merged after rebuild" 0
+      Alcotest.(check int) "nothing merged" 0
         stats.Shared_plan.st_merged_queries;
-      Alcotest.(check int) "nothing aliased after rebuild" 0
+      Alcotest.(check int) "nothing aliased" 0
         stats.Shared_plan.st_aliased_queries
   | l -> Alcotest.failf "expected one plan, got %d" (List.length l)
 
-let test_register_mid_stream_extra () =
-  (* A query registered after events have been fed must not observe
-     them: it runs beside the plan and equals an offline run over the
-     suffix. *)
+let the_plan t =
+  match Multi.shared_stats t with
+  | [ stats ] -> stats
+  | l -> Alcotest.failf "expected one plan, got %d" (List.length l)
+
+(* One isolated executor fed [events] one at a time, finalized: the
+   per-event reference for a single query. *)
+let offline (_, automaton, strategy) events =
+  let exec = Executor.create strategy automaton in
+  Array.iter (fun e -> ignore (Executor.feed exec e)) events;
+  ignore (Executor.close exec);
+  let raw = Executor.emitted exec in
+  {
+    o_matches =
+      canon
+        (Substitution.finalize ~policy:Engine.default_options.Engine.policy
+           (Automaton.pattern automaton) raw);
+    o_raw = canon_sorted raw;
+    o_metrics = Executor.metrics exec;
+  }
+
+let test_register_mid_stream_routed () =
+  (* A query registered after events have been fed is routed like any
+     other, and must not observe those events: its matches, raw
+     emissions and metrics equal an isolated run over the suffix. *)
   let at = 6 in
   let queries = fixture_queries () in
   let t = Multi.create_mixed [ List.hd queries ] in
-  let late_name, late_auto, late_strat = List.nth queries 1 in
+  let late = List.nth queries 1 in
+  let late_name, _, _ = late in
   Array.iteri
     (fun i e ->
-      if i = at then Multi.register t (late_name, late_auto, late_strat);
+      if i = at then Multi.register t late;
       ignore (Multi.feed t e))
     fixture_events;
+  Alcotest.(check (list string))
+    "late query routed" [ "pfx-end"; late_name ]
+    (the_plan t).Shared_plan.st_routed;
   ignore (Multi.close t);
-  let outs = Multi.outcomes t in
+  let outs = observe_outcomes (Multi.outcomes t) in
   Alcotest.(check (list string))
     "registration order kept"
     [ "pfx-end"; late_name ]
     (List.map fst outs);
   let suffix = Array.sub fixture_events at (Array.length fixture_events - at) in
-  let offline =
-    List.assoc late_name
-      (Multi.run [ (late_name, late_auto) ] (Array.to_seq suffix))
-  in
-  let got = List.assoc late_name outs in
-  Alcotest.(check bool) "late query sees only the suffix" true
-    (canon offline.Engine.matches = canon got.Engine.matches
-    && canon_sorted offline.Engine.raw = canon_sorted got.Engine.raw);
+  check_observed "late query = isolated run over the suffix"
+    [ (late_name, offline late suffix) ]
+    [ (late_name, List.assoc late_name outs) ];
   (* ... and can itself be re-removed. *)
   let t2 = Multi.create_mixed [ List.hd queries ] in
   ignore (Multi.feed t2 fixture_events.(0));
-  Multi.register t2 (late_name, late_auto, late_strat);
+  Multi.register t2 late;
   ignore (Multi.unregister t2 late_name);
-  Alcotest.(check (list string)) "extra removed" [ "pfx-end" ] (Multi.names t2);
+  Alcotest.(check (list string))
+    "late query removed" [ "pfx-end" ] (Multi.names t2);
   ignore (Multi.close t2)
+
+let test_retire_frees_index_slot () =
+  (* Two queries over disjoint labels: once one is retired, the index
+     holds exactly the survivor's atoms, and its evaluation count stays
+     cumulative across the rebuild. *)
+  let two name l1 l2 =
+    ( name,
+      mk ~within:12 [ [ v "m" ]; [ v "n" ] ] [ label "m" l1; label "n" l2 ],
+      `Plain )
+  in
+  let ab = two "ab" "a" "b" and cd = two "cd" "c" "d" in
+  let t = Multi.create_mixed [ ab; cd ] in
+  ignore (Multi.feed t fixture_events.(0));
+  let before = (the_plan t).Shared_plan.st_index_evaluated in
+  ignore (Multi.unregister t "cd");
+  ignore (Multi.feed t fixture_events.(1));
+  let after = the_plan t in
+  let alone = the_plan (Multi.create_mixed [ ab ]) in
+  Alcotest.(check int) "index atoms = the survivor's alone"
+    alone.Shared_plan.st_index_atoms after.Shared_plan.st_index_atoms;
+  Alcotest.(check (list string)) "only the survivor routed" [ "ab" ]
+    after.Shared_plan.st_routed;
+  Alcotest.(check bool) "evaluations stay cumulative" true
+    (after.Shared_plan.st_index_evaluated > before);
+  ignore (Multi.close t)
 
 let test_invalid_arguments () =
   let queries = fixture_queries () in
@@ -313,8 +355,8 @@ let random_queries rng =
 let unregister_equals_fresh =
   QCheck.Test.make ~count:30
     ~name:"unregister: survivors = fresh multi without the victim"
-    QCheck.(triple (int_bound 100_000) (int_bound 1000) bool)
-    (fun (seed, pick, shared) ->
+    QCheck.(pair (int_bound 100_000) (int_bound 1000))
+    (fun (seed, pick) ->
       let rng = Prng.create (Int64.of_int seed) in
       let queries = random_queries rng in
       let events =
@@ -327,8 +369,8 @@ let unregister_equals_fresh =
         n
       in
       let at = Prng.int rng (Array.length events + 1) in
-      let live, out = run_with_unregister ~shared ~victim ~at queries events in
-      let fresh = run_plain ~shared (without victim queries) events in
+      let live, out = run_with_unregister ~victim ~at queries events in
+      let fresh = run_plain (without victim queries) events in
       let offline =
         let _, automaton, _ = List.find (fun (n, _, _) -> n = victim) queries in
         Executor.run `Plain automaton (Array.to_seq (Array.sub events 0 at))
@@ -344,20 +386,97 @@ let unregister_equals_fresh =
              && a.o_metrics = b.o_metrics)
            fresh live)
 
+(* Queries join and leave at random chunk boundaries while the stream
+   is fed in chunks of 1–64 events. Each query's outcome — returned by
+   [unregister], or read at the end of the stream — must equal an
+   isolated [Executor.run] over exactly the events fed while it was
+   registered: matches in order, the raw multiset, and the metrics
+   modulo the two layout-variant counters (the chunkings differ). Late
+   members' metrics count from their registration, so this checks the
+   plan's per-member compensation. *)
+let runtime_registration_differential =
+  let invariant (m : Metrics.snapshot) =
+    { m with Metrics.max_simultaneous_instances = 0; instances_expired = 0 }
+  in
+  QCheck.Test.make ~count:40
+    ~name:"runtime register/unregister = isolated runs over each lifetime"
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, strong) ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let options =
+        if strong then
+          { Engine.default_options with Engine.filter = Event_filter.Strong }
+        else Engine.default_options
+      in
+      let events =
+        Array.of_seq
+          (Relation.to_seq
+             (Random_workload.relation rng
+                { Random_workload.default_relation with n_events = 300 }))
+      in
+      let n = Array.length events in
+      let pool =
+        List.init 6 (fun i ->
+            ( Printf.sprintf "q%d" i,
+              Automaton.of_pattern
+                (Random_workload.pattern rng Random_workload.default_pattern),
+              Prng.pick rng [ `Plain; `Auto; `Partitioned ] ))
+      in
+      let t = Multi.create_mixed ~options [] in
+      let live = ref [] (* name -> first event index *) and lifetimes = ref [] in
+      let pos = ref 0 in
+      while !pos < n do
+        List.iter
+          (fun ((name, _, _) as q) ->
+            if Prng.chance rng 0.2 then
+              match List.assoc_opt name !live with
+              | None ->
+                  Multi.register t q;
+                  live := (name, !pos) :: !live
+              | Some from ->
+                  let o = Multi.unregister t name in
+                  lifetimes := (q, from, !pos, o) :: !lifetimes;
+                  live := List.remove_assoc name !live)
+          pool;
+        let len = min (1 + Prng.int rng 64) (n - !pos) in
+        ignore (Multi.feed_batch t (Array.sub events !pos len));
+        pos := !pos + len
+      done;
+      ignore (Multi.close t);
+      let at_end = Multi.outcomes t in
+      List.iter
+        (fun ((name, _, _) as q) ->
+          match List.assoc_opt name !live with
+          | None -> ()
+          | Some from ->
+              lifetimes := (q, from, n, List.assoc name at_end) :: !lifetimes)
+        pool;
+      List.for_all
+        (fun ((_, automaton, strategy), from, until, (got : Engine.outcome)) ->
+          let expected =
+            Executor.run ~options strategy automaton
+              (Array.to_seq (Array.sub events from (until - from)))
+          in
+          canon expected.Engine.matches = canon got.Engine.matches
+          && canon_sorted expected.Engine.raw = canon_sorted got.Engine.raw
+          && invariant expected.Engine.metrics = invariant got.Engine.metrics)
+        !lifetimes)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ unregister_equals_fresh ]
+  List.map QCheck_alcotest.to_alcotest
+    [ unregister_equals_fresh; runtime_registration_differential ]
   @ [
       Alcotest.test_case "fixture: survivors = fresh (shared)" `Quick
-        (test_fixture_survivors true);
-      Alcotest.test_case "fixture: survivors = fresh (independent)" `Quick
-        (test_fixture_survivors false);
+        test_fixture_survivors;
       Alcotest.test_case "fixture: survivor expiries exercised" `Quick
         test_fixture_expiry_exercised;
       Alcotest.test_case "retiree outcome = offline prefix run" `Quick
         test_retiree_outcome;
-      Alcotest.test_case "register before feed rebuilds the plan" `Quick
-        test_register_before_feed_shares;
-      Alcotest.test_case "register mid-stream runs beside the plan" `Quick
-        test_register_mid_stream_extra;
+      Alcotest.test_case "registered before feed is routed" `Quick
+        test_registered_before_feed_routed;
+      Alcotest.test_case "register mid-stream is routed and exact" `Quick
+        test_register_mid_stream_routed;
+      Alcotest.test_case "retiring frees the index slot" `Quick
+        test_retire_frees_index_slot;
       Alcotest.test_case "invalid arguments" `Quick test_invalid_arguments;
     ]
