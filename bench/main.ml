@@ -28,10 +28,8 @@
    finalization against the quadratic reference (finalize-heavy
    workload), writing the results to BENCH_instance_store.json.
 
-   Part 5 measures domain-parallel execution: the partitioned per-key
-   pools of the completely ID-joined Q1 sharded across 1/2/4 OCaml
-   domains (events/sec each), plus a 4-query set on 1 vs 4 domains,
-   writing the results to BENCH_parallel.json.
+   Part 5 measures domain-parallel execution: a 4-query set on 1 vs 4
+   OCaml domains, writing the results to BENCH_parallel.json.
 
    Part 6 measures the telemetry layer: Q1 over the chemotherapy
    workload with the no-op sink (the disabled probes' branch cost —
@@ -298,14 +296,12 @@ let store_bench () =
   output_char oc '\n';
   close_out oc
 
-(* Domain-parallel benchmark: the partitionable (completely ID-joined,
-   singleton-p) Q1 over a many-patient chemotherapy relation — one
-   independent per-key pool per patient, the regime the sharded executor
-   targets — evaluated with the per-key pools on 1, 2 and 4 worker
-   domains, plus a 4-query set on 1 vs 4 domains. Matching output is
-   asserted identical across domain counts; wall-clock speedup is
-   whatever the hardware allows (the JSON records the visible core
-   count so a 1-core container's numbers read as what they are). *)
+(* Domain-parallel benchmark: a 4-query set over a many-patient
+   chemotherapy relation on 1 vs 4 domains — every query on its own
+   domain in the parallel run. Match counts are asserted identical across
+   domain counts; wall-clock speedup is whatever the hardware allows
+   (the JSON records the visible core count so a 1-core container's
+   numbers read as what they are). *)
 
 let parallel_bench () =
   let module Q = Ses_harness.Queries in
@@ -318,45 +314,9 @@ let parallel_bench () =
       }
   in
   let n_events = Ses_event.Relation.cardinality d in
-  let automaton () = Ses_core.Automaton.of_pattern Q.q1_complete in
-  let run_with domains =
-    let options =
-      { Ses_core.Engine.default_options with Ses_core.Engine.domains }
-    in
-    time (fun () ->
-        Ses_core.Executor.run_relation ~options `Partitioned (automaton ()) d)
-  in
-  let counts = [ 1; 2; 4 ] in
-  let runs = List.map (fun n -> (n, run_with n)) counts in
-  let baseline =
-    match runs with
-    | (_, (o, _)) :: _ -> o
-    | [] -> assert false
-  in
-  let reference = List.length baseline.Ses_core.Engine.matches in
-  List.iter
-    (fun (n, (o, _)) ->
-      if List.length o.Ses_core.Engine.matches <> reference then
-        Printf.eprintf
-          "warning: parallel mismatch: %d domains found %d matches, 1 domain %d\n"
-          n
-          (List.length o.Ses_core.Engine.matches)
-          reference)
-    runs;
-  let leg (n, ((o : Ses_core.Engine.outcome), s)) =
-    Printf.sprintf
-      "    {\"domains\":%d,\"elapsed_s\":%.6f,\"events_per_sec\":%.0f,\
-       \"matches\":%d,\"max_instances\":%d}"
-      n s
-      (float_of_int n_events /. s)
-      (List.length o.Ses_core.Engine.matches)
-      o.Ses_core.Engine.metrics.Ses_core.Metrics.max_simultaneous_instances
-  in
-  let elapsed_of n = snd (List.assoc n runs) in
-  (* The multi-query set: four registrations sharing one feed, every
-     query on its own domain in the parallel run. All four are
-     per-patient or mutually-exclusive patterns — the overlapping P3/P4
-     would explode combinatorially on a relation this dense. *)
+  (* All four are per-patient or mutually-exclusive patterns — the
+     overlapping P3/P4 would explode combinatorially on a relation this
+     dense. *)
   let queries () =
     [
       ("q1-complete", Ses_core.Automaton.of_pattern Q.q1_complete);
@@ -388,20 +348,10 @@ let parallel_bench () =
           (List.length o1.Ses_core.Engine.matches))
     m1 m4;
   (* Honest reporting on starved hardware: with a single visible core
-     the multi-domain legs only measure queueing overhead, so a speedup
+     the multi-domain leg only measures queueing overhead, so a speedup
      figure would be noise presented as signal — emit a note instead and
-     skip the speedup claims entirely. *)
+     skip the speedup claim entirely. *)
   let cores = Ses_core.Domain_pool.recommended () in
-  let partitioned_tail =
-    if cores <= 1 then
-      "    \"speedup_note\": \"single visible core: multi-domain runs \
-       measure queueing overhead, not parallel speedup\"\n"
-    else
-      Printf.sprintf
-        "    \"speedup_2_domains\": %.2f, \"speedup_4_domains\": %.2f\n"
-        (elapsed_of 1 /. elapsed_of 2)
-        (elapsed_of 1 /. elapsed_of 4)
-  in
   let multi_tail =
     if cores <= 1 then
       ",\n    \"speedup_note\": \"single visible core: multi-domain runs \
@@ -412,20 +362,12 @@ let parallel_bench () =
     Printf.sprintf
       "{\n\
       \  \"cores_available\": %d,\n\
-      \  \"partitioned\": {\n\
-      \    \"pattern\": \"q1-complete\", \"events\": %d, \"runs\": [\n\
-       %s\n\
-      \    ],\n\
-       %s\
-      \  },\n\
       \  \"multi\": {\n\
       \    \"queries\": 4, \"events\": %d,\n\
       \    \"one_domain_s\": %.6f, \"four_domains_s\": %.6f%s\n\
       \  }\n\
        }"
-      cores n_events
-      (String.concat ",\n" (List.map leg runs))
-      partitioned_tail n_events m1_s m4_s multi_tail
+      cores n_events m1_s m4_s multi_tail
   in
   Printf.printf "Domain-parallel execution (JSON)\n";
   Printf.printf "--------------------------------\n";

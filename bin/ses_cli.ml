@@ -223,11 +223,10 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for the executors that can use them (default 1 = \
-           sequential). With N > 1 the partitioned and auto strategies \
-           shard their per-key pools across N OCaml domains when the \
-           pattern is partitionable. Matching output is identical to the \
-           sequential run.")
+          "Worker domains for several -q queries (default 1 = \
+           sequential). With N > 1 the queries are spread across N OCaml \
+           domains; a single query always runs on one domain. Matching \
+           output is identical to the sequential run.")
 
 let batch_arg =
   Arg.(
@@ -238,9 +237,10 @@ let batch_arg =
            bench harness). Events are fed through the executors N at a \
            time — the CSV scan yields filtered chunks, per-batch engine \
            work (event filter, expiry sweep, telemetry probes) amortizes \
-           over each chunk, and the domain-parallel executors ship whole \
-           sub-batches over their queues. Matching output is identical at \
-           every batch size; N=1 recovers per-event delivery.")
+           over each chunk, and parallel -q queries receive the feed in \
+           whole chunks over their worker queues. Matching output is \
+           identical at every batch size; N=1 recovers per-event \
+           delivery.")
 
 let access_conv =
   Arg.conv
@@ -312,15 +312,10 @@ let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
     Ses_core.Multi.create_mixed ~options
       (List.map (fun (n, _, a) -> (n, a, strategy)) named)
   in
-  let events = Array.of_seq (Ses_event.Relation.to_seq relation) in
-  let n = Array.length events in
-  let b = max 1 options.Ses_core.Engine.batch_size in
-  let i = ref 0 in
-  while !i < n do
-    let len = min b (n - !i) in
-    ignore (Ses_core.Multi.feed_batch t (Array.sub events !i len));
-    i := !i + len
-  done;
+  Ses_core.Executor.iter_chunks
+    ~batch_size:options.Ses_core.Engine.batch_size
+    (fun chunk -> ignore (Ses_core.Multi.feed_batch t chunk))
+    (Ses_event.Relation.to_seq relation);
   ignore (Ses_core.Multi.close t);
   let outcomes = Ses_core.Multi.outcomes t in
   List.iter
@@ -474,8 +469,8 @@ let match_queries_arg =
         ~doc:
           "Pattern in the query language. Repeatable: with several -q the \
            patterns run together over one pass of the relation through the \
-           shared multi-query plan (predicate-index routing, prefix \
-           merging), with per-query results printed in order.")
+           shared multi-query plan (predicate-index routing), with \
+           per-query results printed in order.")
 
 let match_cmd =
   Cmd.v

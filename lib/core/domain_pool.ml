@@ -1,13 +1,12 @@
 (* A fixed pool of worker domains, each fed through its own bounded
    FIFO queue.
 
-   The pool is the substrate of the domain-parallel executors: the
-   caller's thread is the single producer, each worker domain is the
-   single consumer of its own queue, so every message sent to worker [i]
-   is processed sequentially and in send order — exactly the discipline
-   key-routed event streams need. Workers own their state (the closures
-   passed to [create] capture it); the mutex/condition handshakes of
-   [quiesce] and the [Domain.join] of [shutdown] publish that state to
+   The pool is the substrate of domain-parallel {!Multi}: the caller's
+   thread is the single producer, each worker domain is the single
+   consumer of its own queue, so every message sent to worker [i] is
+   processed sequentially and in send order. Workers own their state
+   (built by [init] on their own domain); the mutex/condition handshakes
+   of [quiesce] and the [Domain.join] of [shutdown] publish that state to
    the caller, so reading it after either call is race-free under the
    OCaml 5 memory model. (The handshake alone is what synchronizes:
    [quiesce] observes [pending = 0] under each worker's mutex — a lock
@@ -16,13 +15,13 @@
    everything the worker did. Both therefore order all worker writes
    before the caller's subsequent reads.)
 
-   Producer-side batching lives here too: a [batcher] buffers items per
-   worker (or one broadcast buffer for all workers) and ships them as
-   arrays when a buffer fills. Both [quiesce] and [shutdown] first flush
-   every batcher registered on the pool, so a partial batch can never be
-   stranded in the producer's buffer at a synchronization point — the
-   flush happens while the pool still accepts sends, before queues are
-   drained or closed. *)
+   Producer-side batching lives here too: a [batcher] buffers broadcast
+   items and ships them as one array to every worker when the buffer
+   fills. Both [quiesce] and [shutdown] first flush every batcher
+   registered on the pool, so a partial batch can never be stranded in
+   the producer's buffer at a synchronization point — the flush happens
+   while the pool still accepts sends, before queues are drained or
+   closed. *)
 
 type 'a worker = {
   queue : 'a Queue.t;
@@ -93,16 +92,16 @@ let worker_loop w f =
   in
   loop ()
 
-(* Shared body of [create] and [create_with]: [init i] runs *on* worker
-   [i]'s domain before it processes anything, and the constructor waits
-   for every worker's ready flag (set under its mutex) before returning
-   — so the init's writes happen-before anything the caller does with
-   the pool, and a caller-side read of state the init published (e.g.
-   a slot the worker filled) is race-free immediately. An init that
-   raises marks the worker failed and ready; the exception then
-   re-raises on the caller's side like a processing failure, and the
-   worker keeps draining its queue so the producer never deadlocks. *)
-let create_gen ~capacity ~telemetry ~domains ~init f =
+(* [init i] runs *on* worker [i]'s domain before it processes anything,
+   and [create] waits for every worker's ready flag (set under its
+   mutex) before returning — so the init's writes happen-before anything
+   the caller does with the pool, and a caller-side read of state the
+   init published (e.g. a slot the worker filled) is race-free
+   immediately. An init that raises marks the worker failed and ready;
+   the exception then re-raises on the caller's side like a processing
+   failure, and the worker keeps draining its queue so the producer
+   never deadlocks. *)
+let create ?(capacity = default_capacity) ?telemetry ~domains ~init f =
   if domains < 1 then invalid_arg "Domain_pool.create: domains < 1";
   if capacity < 1 then invalid_arg "Domain_pool.create: capacity < 1";
   let workers = Array.init domains (fun _ -> make_worker ()) in
@@ -128,7 +127,7 @@ let create_gen ~capacity ~telemetry ~domains ~init f =
                      Mutex.unlock w.mutex;
                      fun _ -> ()
                  | Ok state -> (
-                     let body x = f i state x in
+                     let body x = f state x in
                      match sp with
                      | None -> body
                      | Some sp ->
@@ -152,13 +151,6 @@ let create_gen ~capacity ~telemetry ~domains ~init f =
     Option.map (fun tl -> Telemetry.gauge tl "pool.queue_depth") telemetry
   in
   { workers; capacity; depth; stopped = false; flushers = [] }
-
-let create ?(capacity = default_capacity) ?telemetry ~domains f =
-  create_gen ~capacity ~telemetry ~domains ~init:(fun _ -> ()) (fun i () x ->
-      f i x)
-
-let create_with ?(capacity = default_capacity) ?telemetry ~domains ~init f =
-  create_gen ~capacity ~telemetry ~domains ~init (fun _ state x -> f state x)
 
 let size pool = Array.length pool.workers
 
@@ -240,72 +232,39 @@ let recommended () = max 1 (Domain.recommended_domain_count ())
 
 (* Producer-side batching over an array-message pool: a mutex/condition
    handshake per item would cost more than the work it ships, so items
-   are buffered (newest first) and sent as one array when a buffer
-   reaches [limit]. The buffers belong to the producer thread; workers
+   are buffered (newest first) and sent as one array when the buffer
+   reaches [limit]. The buffer belongs to the producer thread; workers
    only ever see flushed arrays. Registration in [flushers] is what
    makes the quiesce/shutdown guarantee above hold. *)
 type 'a batcher = {
   bpool : 'a array t;
   limit : int;
   hist : Telemetry.Histogram.t option;  (* batch sizes on flush *)
-  buffers : 'a list array;  (* per worker, newest first *)
-  lens : int array;
-  mutable bcast : 'a list;  (* broadcast buffer, newest first *)
-  mutable bcast_len : int;
+  mutable buf : 'a list;  (* newest first *)
+  mutable len : int;
 }
 
-let observe_flush b n =
-  match b.hist with
-  | None -> ()
-  | Some h -> Telemetry.Histogram.observe h n
-
-let flush_worker b i =
-  if b.lens.(i) > 0 then begin
-    observe_flush b b.lens.(i);
-    let arr = Array.of_list (List.rev b.buffers.(i)) in
-    b.buffers.(i) <- [];
-    b.lens.(i) <- 0;
-    send b.bpool i arr
-  end
-
-let flush_broadcast b =
-  if b.bcast_len > 0 then begin
-    observe_flush b b.bcast_len;
+let flush b =
+  if b.len > 0 then begin
+    (match b.hist with
+    | None -> ()
+    | Some h -> Telemetry.Histogram.observe h b.len);
     (* One shared array for every worker: the workers only read it. *)
-    let arr = Array.of_list (List.rev b.bcast) in
-    b.bcast <- [];
-    b.bcast_len <- 0;
+    let arr = Array.of_list (List.rev b.buf) in
+    b.buf <- [];
+    b.len <- 0;
     for i = 0 to Array.length b.bpool.workers - 1 do
       send b.bpool i arr
     done
   end
 
-let flush b =
-  Array.iteri (fun i _ -> flush_worker b i) b.lens;
-  flush_broadcast b
-
 let batcher ?hist ?(limit = 64) pool =
   if limit < 1 then invalid_arg "Domain_pool.batcher: limit < 1";
-  let b =
-    {
-      bpool = pool;
-      limit;
-      hist;
-      buffers = Array.make (Array.length pool.workers) [];
-      lens = Array.make (Array.length pool.workers) 0;
-      bcast = [];
-      bcast_len = 0;
-    }
-  in
+  let b = { bpool = pool; limit; hist; buf = []; len = 0 } in
   pool.flushers <- (fun () -> flush b) :: pool.flushers;
   b
 
-let push b i x =
-  b.buffers.(i) <- x :: b.buffers.(i);
-  b.lens.(i) <- b.lens.(i) + 1;
-  if b.lens.(i) >= b.limit then flush_worker b i
-
 let broadcast b x =
-  b.bcast <- x :: b.bcast;
-  b.bcast_len <- b.bcast_len + 1;
-  if b.bcast_len >= b.limit then flush_broadcast b
+  b.buf <- x :: b.buf;
+  b.len <- b.len + 1;
+  if b.len >= b.limit then flush b

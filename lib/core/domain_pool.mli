@@ -1,18 +1,15 @@
 (** A fixed pool of OCaml 5 worker domains behind bounded
     single-producer/single-consumer queues.
 
-    [create ~domains f] spawns [domains] workers; worker [i] processes
-    the messages sent to it with [f i], sequentially and in send order.
-    This is the execution substrate of the domain-parallel executors:
-    {!Partitioned} routes each partition key to a fixed worker (so a
-    key's events are still consumed one at a time, in order, preserving
-    the engine's semantics), and {!Multi} assigns whole queries to
+    [create ~domains ~init f] spawns [domains] workers; worker [i] builds
+    its state with [init i] and processes the messages sent to it with
+    [f state], sequentially and in send order. This is the execution
+    substrate of domain-parallel {!Multi}, which assigns whole queries to
     workers and broadcasts the feed.
 
-    Workers keep their state in the closures passed to [create]. After
-    {!quiesce} or {!shutdown} returns, that state may be read (and after
-    [shutdown], mutated) from the calling thread without races: both
-    calls establish the necessary happens-before edges.
+    After {!quiesce} or {!shutdown} returns, worker state may be read
+    (and after [shutdown], mutated) from the calling thread without
+    races: both calls establish the necessary happens-before edges.
 
     Pools whose message type is an array can be fed through a {!batcher},
     which buffers items on the producer side and ships them as whole
@@ -26,37 +23,31 @@ val create :
   ?capacity:int ->
   ?telemetry:Telemetry.t ->
   domains:int ->
-  (int -> 'a -> unit) ->
+  init:(int -> 'state) ->
+  ('state -> 'a -> unit) ->
   'a t
-(** [create ~domains f] spawns the workers. [capacity] bounds each
-    worker's queue (default 1024): {!send} blocks when the consumer
-    falls that far behind, so an unbounded event source cannot exhaust
-    memory. Raises [Invalid_argument] when [domains] or [capacity]
-    is < 1.
+(** [create ~domains ~init f] spawns the workers. Worker [i] first builds
+    its own state by running [init i] {e on its domain}, then processes
+    each message with [f state]. The call returns only after every
+    worker has finished its init (a ready handshake under the worker's
+    mutex), so state the init publishes into caller-visible slots may be
+    read immediately without races. An init that raises marks its
+    worker failed: the exception re-raises at the next
+    {!send}/{!quiesce}/{!shutdown} and the worker drains its queue
+    without processing. This is how {!Multi} builds one shared plan per
+    worker domain — the plan's interior mutability stays domain-local
+    for the pool's whole lifetime.
+
+    [capacity] bounds each worker's queue (default 1024): {!send} blocks
+    when the consumer falls that far behind, so an unbounded event
+    source cannot exhaust memory. Raises [Invalid_argument] when
+    [domains] or [capacity] is < 1.
 
     With [telemetry], worker [i] times each message it processes into a
     [worker.i] span (through its own {!Telemetry.fork}, so the
     single-writer discipline holds), and {!send} samples the receiving
     queue's depth into a [pool.queue_depth] gauge. A custom
     {!Telemetry.create} clock must be safe to call from any domain. *)
-
-val create_with :
-  ?capacity:int ->
-  ?telemetry:Telemetry.t ->
-  domains:int ->
-  init:(int -> 'state) ->
-  ('state -> 'a -> unit) ->
-  'a t
-(** Like {!create}, but worker [i] first builds its own state by running
-    [init i] {e on its domain}, then processes each message with
-    [f state]. The call returns only after every worker has finished its
-    init (a ready handshake under the worker's mutex), so state the init
-    publishes into caller-visible slots may be read immediately without
-    races. An init that raises marks its worker failed: the exception
-    re-raises at the next {!send}/{!quiesce}/{!shutdown} and the worker
-    drains its queue without processing. This is how {!Multi} builds one
-    shared plan per worker domain — the plan's interior mutability stays
-    domain-local for the pool's whole lifetime. *)
 
 val size : 'a t -> int
 (** Number of worker domains. *)
@@ -93,16 +84,11 @@ type 'a batcher
 
 val batcher :
   ?hist:Telemetry.Histogram.t -> ?limit:int -> 'a array t -> 'a batcher
-(** [batcher pool] buffers items per worker and sends each buffer as one
-    array when it reaches [limit] items (default 64; raises
+(** [batcher pool] buffers items and sends the buffer as one array to
+    every worker when it reaches [limit] items (default 64; raises
     [Invalid_argument] when < 1). [hist], when given, records the size
     of every shipped batch. The batcher registers its {!flush} with the
     pool: {!quiesce} and {!shutdown} run it automatically. *)
-
-val push : 'a batcher -> int -> 'a -> unit
-(** [push b i x] buffers [x] for worker [i], shipping the buffer when
-    full. Items reach worker [i] in push order (broadcast items are
-    interleaved at flush granularity). *)
 
 val broadcast : 'a batcher -> 'a -> unit
 (** [broadcast b x] buffers [x] for {e every} worker; on flush one
@@ -110,5 +96,4 @@ val broadcast : 'a batcher -> 'a -> unit
     it. *)
 
 val flush : 'a batcher -> unit
-(** Ships all non-empty buffers (per-worker first, then the broadcast
-    buffer) immediately. Idempotent on empty buffers. *)
+(** Ships the buffer immediately. Idempotent on an empty buffer. *)

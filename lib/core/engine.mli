@@ -53,17 +53,16 @@ type options = {
           loop — the optimization never changes the result, only work) *)
   store : store_kind;  (** pool representation (default [Indexed]) *)
   domains : int;
-      (** worker domains for the executors that can use them (default 1
-          = fully sequential). The plain engine is inherently sequential
-          and ignores this; {!Partitioned} shards its per-key pools
-          across this many domains when the pattern is partitionable,
-          and {!Multi} spreads its queries across them. *)
+      (** worker domains for several queries (default 1 = fully
+          sequential): {!Multi} spreads its queries across this many
+          domains. A single query always runs on one domain; no
+          executor reads this. *)
   batch_size : int;
       (** the unit of work on the batched hot path (default
           {!default_batch_size}, tuned by [bench --batch-only]): the
           chunk size {!Executor.drive} and the stream runner feed
           through {!feed_batch}, and the producer-side buffer limit for
-          the domain-parallel executors' queues. The engine itself
+          domain-parallel {!Multi}'s worker queues. The engine itself
           accepts any batch size through {!feed_batch}; this option only
           sets how callers chunk. *)
   telemetry : Telemetry.sink;

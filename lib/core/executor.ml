@@ -243,17 +243,14 @@ let population (Packed ((module E), t)) = E.population t
 
 let metrics (Packed ((module E), t)) = E.metrics t
 
-let drive ?(options = Engine.default_options) exec automaton events =
-  (* Chunk the sequence into [options.batch_size] arrays and push them
-     through the batched path: all per-batch amortizations (engine
-     prechecks, bucket handles, telemetry probes, domain-pool shipping)
-     activate from here without the caller changing shape. *)
-  let chunk = max 1 options.Engine.batch_size in
-  (* One buffer reused for every full chunk (executors don't retain the
-     array past the call — see {!EXECUTOR.feed_batch}); a fresh per-chunk
-     array above ~256 words would be allocated on the major heap, and the
-     resulting churn dominates the batch path's own cost. Allocated lazily
-     off the first event since [Event.t] has no dummy value. *)
+(* One buffer reused for every full chunk (executors don't retain the
+   array past [feed_batch] — see {!EXECUTOR.feed_batch}); a fresh
+   per-chunk array above ~256 words would be allocated on the major
+   heap, and the resulting churn dominates the batch path's own cost.
+   Allocated lazily off the first element, since there is no dummy value
+   to fill it with. *)
+let iter_chunks ~batch_size f events =
+  let chunk = max 1 batch_size in
   let buf = ref [||] and n = ref 0 in
   let flush () =
     if !n > 0 then begin
@@ -261,7 +258,7 @@ let drive ?(options = Engine.default_options) exec automaton events =
         if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
       in
       n := 0;
-      ignore (feed_batch exec arr)
+      f arr
     end
   in
   Seq.iter
@@ -271,7 +268,15 @@ let drive ?(options = Engine.default_options) exec automaton events =
       incr n;
       if !n >= chunk then flush ())
     events;
-  flush ();
+  flush ()
+
+let drive ?(options = Engine.default_options) exec automaton events =
+  (* Push the sequence through the batched path: all per-batch
+     amortizations (engine prechecks, bucket handles, telemetry probes)
+     activate from here without the caller changing shape. *)
+  iter_chunks ~batch_size:options.Engine.batch_size
+    (fun chunk -> ignore (feed_batch exec chunk))
+    events;
   ignore (close exec);
   let raw = emitted exec in
   let finalize () =

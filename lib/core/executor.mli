@@ -25,12 +25,9 @@ type strategy = [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
     [`Naive] the exhaustive Definition 2 oracle; [`Brute_force] the
     one-automaton-per-ordering baseline of Sec. 5.2.
 
-    [`Auto] and [`Partitioned] shard their per-key pools across worker
-    domains when [options.domains > 1] (see {!Partitioned} for the
-    sharded-mode contract: [feed] returns [[]], reads quiesce, one
-    sequential pool on non-partitionable patterns). The domain count
-    rides on {!Engine.options} so the planner, the stream runner and the
-    CLI pick it up with no call-site changes. *)
+    Every strategy runs a single query on the calling domain and ignores
+    [options.domains]: that count spreads several queries across worker
+    domains ({!Multi}). *)
 
 val strategies : strategy list
 
@@ -123,6 +120,15 @@ val population : packed -> int
 val metrics : packed -> Metrics.snapshot
 
 (** {1 The shared batch harness} *)
+
+val iter_chunks :
+  batch_size:int -> ('a array -> unit) -> 'a Seq.t -> unit
+(** [iter_chunks ~batch_size f xs] cuts [xs] into consecutive chunks of
+    [batch_size] elements (at least 1; the last chunk may be shorter)
+    and applies [f] to each, in order. The array passed to [f] is
+    reused for the next chunk once [f] returns, so [f] must not keep
+    it. Every batching caller — {!drive}, {!Multi.run} and [ses match]
+    with several queries — cuts its input here. *)
 
 val drive :
   ?options:Engine.options ->

@@ -65,13 +65,12 @@ let snapshot (m : t) : snapshot =
     matches_emitted = m.matches_emitted;
   }
 
-(* Shard accounting: the snapshots come from executors that split one
-   input among themselves (per-key pools, domain shards), so every
-   counter is a sum — each event, instance and transition is counted by
-   exactly one shard — except [max_simultaneous_instances], whose
-   shard-local peaks need not coincide in time: the max of the peaks is
-   the only value that is both deterministic and a lower bound on the
-   true global peak. *)
+(* Split accounting: the snapshots come from per-key pools that split
+   one input among themselves, so every counter is a sum — each event,
+   instance and transition is counted by exactly one pool — except
+   [max_simultaneous_instances], whose per-pool peaks need not coincide
+   in time: the merge keeps their max, and [Partitioned] replaces it
+   with its own cross-pool total. *)
 let merge snapshots =
   List.fold_left
     (fun acc s ->

@@ -48,20 +48,10 @@ val snapshot : t -> snapshot
 
 val merge : snapshot list -> snapshot
 (** Combines the snapshots of executors that {e split} one input among
-    themselves (per-key pools, domain shards): every counter is summed —
-    each event, instance and transition is counted by exactly one
-    shard — except [max_simultaneous_instances], which takes the max of
-    the shard-local peaks. The peaks need not coincide in time, so the
-    merged value is a deterministic {e lower bound} on the true global
-    peak, which is in turn at most the {e sum} of the shard peaks:
-
-    {v max_i peak_i  ≤  true global peak  ≤  Σ_i peak_i v}
-
-    It is exact when a single shard dominates (and always exact for one
-    shard). For the true cross-shard peak, attach a {!Telemetry} recorder:
-    the sharded executors maintain a shared atomic [population.global]
-    gauge whose peak is measured, not reconstructed — reports can then
-    show both numbers. [merge [] = zero]. *)
+    themselves: every counter is summed, except
+    [max_simultaneous_instances], which takes the max. Per-key pools
+    split one input, so their counters sum, and {!Partitioned} replaces
+    the peak with its own cross-pool total. [merge [] = zero]. *)
 
 val merge_replicas : snapshot list -> snapshot
 (** Combines the snapshots of executors that each consume the {e whole}

@@ -2,7 +2,7 @@ open Ses_event
 
 (* Domain-parallel mode: registrations are dealt round-robin into
    shards and each worker domain builds its own shared plan over its
-   shard — built {e on} the worker through {!Domain_pool.create_with},
+   shard — built {e on} the worker through {!Domain_pool.create},
    so the plan's interior mutability stays domain-local. The feed is
    broadcast in batches through a {!Domain_pool.batcher}, amortising the
    queue handshake; per-query results are read after quiesce/shutdown,
@@ -37,33 +37,32 @@ let plan_reg (name, automaton, strategy) =
 
 let make_parallel options domains regs =
   let shards = deal domains regs in
-  (* Each worker's plan records through its own telemetry fork and
-     never nests a second domain pool. The forks are created here, on
-     the calling thread, but written only by their worker. *)
+  (* Each worker's plan records through its own telemetry fork. The
+     forks are created here, on the calling thread, but written only by
+     their worker. *)
   let shard_options =
     Array.map
       (fun _ ->
         {
           options with
-          Engine.domains = 1;
-          telemetry = Option.map Telemetry.fork options.Engine.telemetry;
+          Engine.telemetry = Option.map Telemetry.fork options.Engine.telemetry;
         })
       shards
   in
   let slots = Array.make domains None in
   let pool =
-    Domain_pool.create_with ?telemetry:options.Engine.telemetry ~domains
+    Domain_pool.create ?telemetry:options.Engine.telemetry ~domains
       ~init:(fun i ->
         let plan = Shared_plan.create ~options:shard_options.(i) shards.(i) in
         slots.(i) <- Some plan;
         plan)
-      (* Per-event feeding (the chunking only amortizes the queue
-         handshake): each query must observe the exact per-event
-         sequence so parallel metrics equal sequential ones. *)
+      (* Per-event feeding: the chunking only amortizes the queue
+         handshake. Matches and raw emissions equal the sequential
+         mode's; the sweep-dependent counters may not (see multi.mli). *)
       (fun plan events ->
         Array.iter (fun e -> ignore (Shared_plan.feed plan e)) events)
   in
-  (* The ready handshake in [create_with] makes the inits' writes
+  (* The ready handshake in [Domain_pool.create] makes the inits' writes
      visible here. *)
   let plans = Array.map Option.get slots in
   let batch_hist =
@@ -216,27 +215,9 @@ let run ?options ?strategy queries events =
   let t = create ?options ?strategy queries in
   (* Chunk the stream through [feed_batch] so the per-batch
      amortizations (routing, engine prechecks, telemetry) activate here
-     too, mirroring {!Executor.drive}'s reused buffer: batches never
-     outlive the call, and the buffer is allocated lazily off the first
-     event since [Event.t] has no dummy value. *)
-  let chunk = max 1 t.options.Engine.batch_size in
-  let buf = ref [||] and n = ref 0 in
-  let flush () =
-    if !n > 0 then begin
-      let arr =
-        if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
-      in
-      n := 0;
-      ignore (feed_batch t arr)
-    end
-  in
-  Seq.iter
-    (fun e ->
-      if Array.length !buf = 0 then buf := Array.make chunk e;
-      !buf.(!n) <- e;
-      incr n;
-      if !n >= chunk then flush ())
+     too. *)
+  Executor.iter_chunks ~batch_size:t.options.Engine.batch_size
+    (fun chunk -> ignore (feed_batch t chunk))
     events;
-  flush ();
   ignore (close t);
   outcomes t

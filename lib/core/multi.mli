@@ -24,13 +24,14 @@
     parallel. Queries are dealt round-robin to the workers, and each
     worker builds its own shared plan over its queries (on its own
     domain). Each query is still evaluated by one domain, strictly
-    sequentially, so per-query results are identical to the sequential
-    mode. Operationally (mirroring {!Partitioned}'s sharded mode):
+    sequentially, so per-query matches and raw emissions are identical
+    to the sequential mode. The workers feed one event at a time, so
+    [instances_expired] may read higher and [max_simultaneous_instances]
+    lower than under the sequential mode's chunked feed. Operationally:
     [feed] returns [[]] — completions surface at [close]/{!outcomes} —
     [population]/{!outcomes} quiesce the workers first, [close] joins
     the domains and forbids further feeding, and worker exceptions
-    re-raise at the next call. Plans inside a parallel Multi are
-    created with [domains = 1]: queries do not nest domain pools. *)
+    re-raise at the next call. *)
 
 open Ses_event
 
@@ -84,8 +85,7 @@ val feed : t -> Event.t -> (string * Substitution.t list) list
 val feed_batch : t -> Event.t array -> (string * Substitution.t list) list
 (** Pushes a chronological chunk; completions are aggregated over the
     chunk. In domain-parallel mode the chunk enters the broadcast
-    batcher and [[]] is returned; per-query results and metrics stay
-    identical to the sequential mode. *)
+    batcher and [[]] is returned. *)
 
 val close : t -> (string * Substitution.t list) list
 (** Flushes accepting instances of every query. *)

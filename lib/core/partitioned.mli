@@ -45,34 +45,9 @@ val partition_key : Automaton.t -> Schema.Field.t option
 (** {1 Incremental interface}
 
     The push-based view, implementing {!Executor.EXECUTOR}: per-key
-    engine pools opened lazily as each key value first appears. [feed]
-    routes the event to its key's pool only.
-
-    {2 Domain-sharded execution}
-
-    When [options.domains > 1] and the pattern is partitionable, the
-    per-key pools are sharded across that many {!Domain_pool} worker
-    domains: each key hashes to a fixed worker, whose bounded queue
-    preserves arrival order, so every pool still consumes exactly its
-    key's events, sequentially and in order — the per-pool execution is
-    byte-identical to the sequential layout and the matching semantics
-    are untouched. The differences are operational:
-
-    - [feed] hands the event to its shard's queue and returns [[]];
-      completions are collected by [close]/[emitted] instead (finalize
-      needs the whole candidate set anyway, so batch callers — {!run},
-      {!Executor.drive} — are unaffected).
-    - [emitted], [population] and [metrics] first quiesce the workers
-      (block until every queue drains), so mid-stream reads are exact
-      but momentarily stall the pipeline.
-    - A worker exception (e.g. out-of-order events) is re-raised by the
-      next [feed], [close] or read, not at the offending [feed].
-    - [close] joins the worker domains, flushes every pool and returns
-      the accepted substitutions; the stream cannot be fed afterwards
-      (raises [Invalid_argument]).
-
-    Non-partitionable patterns fall back to the single sequential pool
-    regardless of [options.domains]. *)
+    engine pools opened lazily as each key value first appears, all on
+    the calling domain. [feed] routes the event to its key's pool only.
+    Non-partitionable patterns run one plain engine pool. *)
 
 type stream
 
@@ -80,42 +55,31 @@ val create :
   ?options:Engine.options -> ?key:Schema.Field.t option -> Automaton.t -> stream
 (** [?key] overrides detection (the planner passes its already-computed
     decision); when omitted, {!partition_key} decides. [Some None] forces
-    a single unpartitioned pool. [options.domains > 1] runs the keyed
-    pools on worker domains as described above. *)
+    a single unpartitioned pool. *)
 
 val feed : stream -> Event.t -> Substitution.t list
-(** Raw substitutions whose instances completed on this event ([[]] in
-    the domain-sharded mode — see above). *)
+(** Raw substitutions whose instances completed on this event. *)
 
 val feed_batch : stream -> Event.t array -> Substitution.t list
 (** Routes a chronological chunk in one pass. Events are grouped by key
     value and each per-key pool consumes its sub-batch through
     {!Engine.feed_batch}, so the engine's per-batch amortizations
     compose with partitioning; pools still see exactly their key's
-    events, in order. In the domain-sharded mode the chunk is pushed
-    through the producer-side {!Domain_pool.batcher} (buffer limit
-    [options.batch_size]) and [[]] is returned, as with {!feed}.
-    Completions are returned grouped by pool, each pool's oldest first;
-    the cross-pool interleaving may differ from the per-event order
-    (finalization is order-insensitive). *)
+    events, in order. Completions are returned grouped by pool, each
+    pool's oldest first; the cross-pool interleaving may differ from the
+    per-event order (finalization is order-insensitive). *)
 
 val close : stream -> Substitution.t list
-(** Flushes accepting instances of every pool, oldest pool first (per
-    shard, in shard order, when domain-sharded — joining the worker
-    domains first). *)
+(** Flushes accepting instances of every pool, oldest pool first. *)
 
 val emitted : stream -> Substitution.t list
-(** All raw emissions so far, grouped by pool in pool-creation order
-    (per shard when domain-sharded). *)
+(** All raw emissions so far, grouped by pool in pool-creation order. *)
 
 val population : stream -> int
 (** Total live instances across pools. *)
 
 val n_pools : stream -> int
 (** Number of per-key pools opened so far (1 when unpartitioned). *)
-
-val n_domains : stream -> int
-(** Worker domains in use (1 when sequential). *)
 
 val key : stream -> Schema.Field.t option
 (** The partition key actually in use. *)
@@ -125,9 +89,7 @@ val metrics : stream -> Metrics.snapshot
     time of the total population. Expiry is lazy — a pool only discards
     expired instances when one of its own events arrives — so that peak
     may exceed the plain engine's even though the per-event work is
-    smaller. In the domain-sharded mode the snapshots merge with
-    {!Metrics.merge}: the peak is the max of the per-shard peaks, a
-    deterministic lower bound on the sequential layout's global peak. *)
+    smaller. *)
 
 (** {1 Batch interface} *)
 

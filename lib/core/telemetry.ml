@@ -80,18 +80,12 @@ end
 module Gauge = struct
   type t = {
     samples : int Atomic.t;
-    level : int Atomic.t;
     last : int Atomic.t;
     peak : int Atomic.t;
   }
 
   let make () =
-    {
-      samples = Atomic.make 0;
-      level = Atomic.make 0;
-      last = Atomic.make 0;
-      peak = Atomic.make 0;
-    }
+    { samples = Atomic.make 0; last = Atomic.make 0; peak = Atomic.make 0 }
 
   let raise_peak g v =
     let rec go () =
@@ -100,16 +94,10 @@ module Gauge = struct
     in
     go ()
 
-  let sample g v =
+  let observe g v =
     Atomic.incr g.samples;
     Atomic.set g.last v;
     raise_peak g v
-
-  let observe g v =
-    Atomic.set g.level v;
-    sample g v
-
-  let add g d = sample g (Atomic.fetch_and_add g.level d + d)
 
   let samples g = Atomic.get g.samples
 

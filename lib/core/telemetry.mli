@@ -12,13 +12,13 @@
     stream-construction time, never per event.
 
     {b Threading.} Spans, histograms and counters are plain mutable
-    state: each handle must be written by one domain at a time. The
-    domain-parallel executors honour this by {!fork}ing one child
-    recorder per shard/worker and writing only to their own; gauges are
-    atomic and may be shared across domains (the cross-shard population
-    gauge relies on this). {!snapshot} reads children without locks —
-    call it only after the workers have quiesced (the executors'
-    [metrics]/[close] already impose exactly that discipline).
+    state: each handle must be written by one domain at a time.
+    Domain-parallel {!Multi} honours this by {!fork}ing one child
+    recorder per worker and writing only to its own; gauges are atomic
+    and may be shared across domains. {!snapshot} reads children
+    without locks — call it only after the workers have quiesced
+    ([Multi]'s reads and [close] already impose exactly that
+    discipline).
 
     {b Clock.} Durations come from the recorder's clock, a
     [unit -> int] returning nanoseconds. The default is derived from
@@ -104,13 +104,6 @@ module Gauge : sig
 
   val observe : t -> int -> unit
   (** Sample an absolute level: sets [last], raises [peak]. *)
-
-  val add : t -> int -> unit
-  (** Apply a delta to the running level and sample the result — the
-      cross-shard form: when every shard reports its own population
-      deltas through one shared gauge, [peak] is the true global peak
-      (each delta is applied atomically, so every sampled level is a
-      level the system actually reached). *)
 
   val samples : t -> int
 

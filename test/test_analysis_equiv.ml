@@ -28,16 +28,14 @@ let canon_sorted substs =
    deliberately different skip semantics — test_equivalence.ml only ever
    relates them to the engine by raw-emission *inclusion*, never
    equality — so the exact-agreement set is the three strategies that
-   share the engine's skip-till-next-match semantics, with partitioned
-   also run sharded across two worker domains. *)
-let strategies = [ (`Auto, 1); (`Plain, 1); (`Partitioned, 1); (`Partitioned, 2) ]
+   share the engine's skip-till-next-match semantics. *)
+let strategies = [ `Auto; `Plain; `Partitioned ]
 
 let agrees_with_baseline ?(options = Engine.default_options) p r =
   let automaton = Automaton.of_pattern p in
   let baseline = Engine.run_relation ~options automaton r in
   List.for_all
-    (fun (strategy, domains) ->
-      let options = { options with Engine.domains } in
+    (fun strategy ->
       let out =
         Executor.drive ~options
           (Executor.create ~options strategy automaton)
@@ -153,7 +151,8 @@ let random_workloads_agree =
       let r = Random_workload.relation rng Random_workload.default_relation in
       agrees_with_baseline pat r)
 
-(* And with complete ID joins, so the partitioned path really shards. *)
+(* And with complete ID joins, so the partitioned path really splits
+   into per-key pools. *)
 let random_partitioned_agree =
   QCheck.Test.make ~count:60
     ~name:"partitionable workloads agree under the registered analyzer"

@@ -41,9 +41,8 @@ let events_of r = Array.of_seq (Relation.to_seq r)
 (* Run [strategy] over [r], delivering the input per event when
    [batch = None] and in [Array.sub] chunks of the given size
    otherwise, and collect everything equivalence is judged on. *)
-let observe ?(domains = 1) ~batch strategy pat r =
-  let options = { Engine.default_options with Engine.domains } in
-  let exec = Executor.create ~options strategy (Automaton.of_pattern pat) in
+let observe ~batch strategy pat r =
+  let exec = Executor.create strategy (Automaton.of_pattern pat) in
   let events = events_of r in
   (match batch with
   | None -> Array.iter (fun e -> ignore (Executor.feed exec e)) events
@@ -140,13 +139,11 @@ let chunk_emissions_equal_per_event =
             (fun strategy -> chunkings strategy 10)
             [ `Plain; `Partitioned; `Auto ]))
 
-(* The sharded executor consumes batches through the domain-pool
-   batcher (per-key sub-batches over the worker queues), so it gets its
-   own property, across worker counts. Shard-merged metrics follow the
-   parallel-equivalence contract, so only outputs are compared here. *)
-let sharded_batched_equals_per_event =
-  QCheck.Test.make ~count:25
-    ~name:"sharded feed_batch = per-event feed (1/2/4 domains)"
+(* Complete ID joins make most random patterns partitionable, so this
+   property drives [Partitioned]'s keyed layout: each chunk is split into
+   per-key sub-batches. *)
+let keyed_batched_equals_per_event =
+  QCheck.Test.make ~count:25 ~name:"keyed feed_batch = per-event"
     QCheck.(int_bound 100_000)
     (fun seed ->
       let rng = Prng.create (Int64.of_int seed) in
@@ -158,20 +155,11 @@ let sharded_batched_equals_per_event =
           }
       in
       let r = Random_workload.relation rng Random_workload.default_relation in
+      let reference = observe ~batch:None `Partitioned pat r in
       List.for_all
-        (fun domains ->
-          let reference =
-            observe ~domains ~batch:None `Partitioned pat r
-          in
-          List.for_all
-            (fun b ->
-              let batched =
-                observe ~domains ~batch:(Some b) `Partitioned pat r
-              in
-              reference.o_matches = batched.o_matches
-              && reference.o_raw = batched.o_raw)
-            batch_grid)
-        [ 1; 2; 4 ])
+        (fun b ->
+          equivalent reference (observe ~batch:(Some b) `Partitioned pat r))
+        batch_grid)
 
 (* Deterministic fixture: an ID-pinned negation kill (id 2), a match
    completing before its kill event arrives (id 1), and a τ-expiry
@@ -236,32 +224,14 @@ let test_negation_and_expiry_at_boundaries () =
             true
             (equivalent reference batched))
         batch_grid)
-    (`Naive :: strategies);
-  List.iter
-    (fun domains ->
-      let reference =
-        observe ~domains ~batch:None `Partitioned neg_pattern neg_relation
-      in
-      List.iter
-        (fun b ->
-          let batched =
-            observe ~domains ~batch:(Some b) `Partitioned neg_pattern
-              neg_relation
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "sharded at %d domains, batch %d" domains b)
-            true
-            (reference.o_matches = batched.o_matches
-            && reference.o_raw = batched.o_raw))
-        batch_grid)
-    [ 2; 4 ]
+    (`Naive :: strategies)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       batched_equals_per_event;
       chunk_emissions_equal_per_event;
-      sharded_batched_equals_per_event;
+      keyed_batched_equals_per_event;
     ]
   @ [
       Alcotest.test_case "negation + expiry at batch boundaries" `Quick

@@ -1,6 +1,7 @@
 (* Domain_pool unit tests: per-worker FIFO ordering, quiesce as a
    read barrier, idempotent shutdown, and failure propagation without
-   producer deadlock. Workers only touch their own array slot, so the
+   producer deadlock. Each worker's state is its index, built by [init]
+   on its own domain; workers only touch their own array slot, so the
    quiesce/shutdown happens-before edges make the caller's reads
    race-free. *)
 
@@ -10,7 +11,8 @@ let test_fifo_per_worker () =
   let domains = 3 in
   let sink = Array.make domains [] in
   let pool =
-    Domain_pool.create ~domains (fun i x -> sink.(i) <- x :: sink.(i))
+    Domain_pool.create ~domains ~init:Fun.id (fun i x ->
+        sink.(i) <- x :: sink.(i))
   in
   Alcotest.(check int) "size" domains (Domain_pool.size pool);
   for x = 0 to 299 do
@@ -28,7 +30,7 @@ let test_fifo_per_worker () =
 let test_quiesce_and_idempotent_shutdown () =
   let counts = Array.make 2 0 in
   let pool =
-    Domain_pool.create ~domains:2 (fun i (_ : int) ->
+    Domain_pool.create ~domains:2 ~init:Fun.id (fun i (_ : int) ->
         counts.(i) <- counts.(i) + 1)
   in
   for x = 1 to 50 do
@@ -58,7 +60,7 @@ let test_quiesce_and_idempotent_shutdown () =
 let test_bounded_queue_backpressure () =
   let counts = Array.make 1 0 in
   let pool =
-    Domain_pool.create ~capacity:2 ~domains:1 (fun _ (_ : int) ->
+    Domain_pool.create ~capacity:2 ~domains:1 ~init:Fun.id (fun _ (_ : int) ->
         counts.(0) <- counts.(0) + 1)
   in
   for x = 1 to 500 do
@@ -75,7 +77,7 @@ exception Boom
    send volume here is far beyond the queue capacity on purpose. *)
 let test_failure_propagates () =
   let pool =
-    Domain_pool.create ~capacity:16 ~domains:1 (fun _ x ->
+    Domain_pool.create ~capacity:16 ~domains:1 ~init:Fun.id (fun _ x ->
         if x = 5 then raise Boom)
   in
   let surfaced = ref false in
@@ -97,10 +99,13 @@ let test_failure_propagates () =
 let test_validation () =
   Alcotest.check_raises "domains < 1"
     (Invalid_argument "Domain_pool.create: domains < 1") (fun () ->
-      ignore (Domain_pool.create ~domains:0 (fun _ (_ : int) -> ())));
+      ignore
+        (Domain_pool.create ~domains:0 ~init:Fun.id (fun _ (_ : int) -> ())));
   Alcotest.check_raises "capacity < 1"
     (Invalid_argument "Domain_pool.create: capacity < 1") (fun () ->
-      ignore (Domain_pool.create ~capacity:0 ~domains:1 (fun _ (_ : int) -> ())));
+      ignore
+        (Domain_pool.create ~capacity:0 ~domains:1 ~init:Fun.id
+           (fun _ (_ : int) -> ())));
   Alcotest.(check bool) "recommended is positive" true
     (Domain_pool.recommended () >= 1)
 

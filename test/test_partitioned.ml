@@ -176,6 +176,35 @@ let test_poisoned_branch () =
   let part = Partitioned.run_relation (Automaton.of_pattern complete) r in
   check_substs complete [ [ ("a", 4); ("b", 1); ("c", 3) ] ] part.Engine.matches
 
+let canon substs = List.map Substitution.canonical substs
+
+let canon_sorted substs =
+  List.sort Substitution.compare_canonical (canon substs)
+
+(* The counters compared by equality. The other two follow lazy expiry:
+   the plain engine collects τ-expired instances whenever any event
+   advances time, while a per-key pool only scans when one of its own
+   key's events arrives. Instances that linger unscanned are enforced as
+   expired (they never fire) but stay in the population and, if still
+   there at close, are not counted — so the keyed peak may read higher
+   and [instances_expired] lower than the engine's. *)
+let invariant (m : Metrics.snapshot) =
+  {
+    m with
+    Metrics.max_simultaneous_instances = 0;
+    Metrics.instances_expired = 0;
+  }
+
+let same_run (direct : Engine.outcome) (part : Engine.outcome) =
+  canon direct.Engine.matches = canon part.Engine.matches
+  && canon_sorted direct.Engine.raw = canon_sorted part.Engine.raw
+  && invariant direct.Engine.metrics = invariant part.Engine.metrics
+  && part.Engine.metrics.Metrics.instances_expired
+     <= direct.Engine.metrics.Metrics.instances_expired
+
+(* Finalize sorts by (min timestamp, canonical form), so the match lists
+   agree element by element, not just as sets; raw emission order
+   differs between the layouts. *)
 let partitioned_equals_direct =
   QCheck.Test.make ~count:75 ~name:"partitioned = direct when applicable"
     QCheck.(int_bound 100_000)
@@ -194,10 +223,75 @@ let partitioned_equals_direct =
           Ses_gen.Random_workload.default_relation
       in
       let automaton = Automaton.of_pattern pat in
-      let direct = Engine.run_relation automaton r in
-      let part = Partitioned.run_relation automaton r in
-      List.map Substitution.canonical direct.Engine.matches
-      = List.map Substitution.canonical part.Engine.matches)
+      same_run
+        (Engine.run_relation automaton r)
+        (Partitioned.run_relation automaton r))
+
+(* An ID-pinned negation guard and a τ-expiring instance: id 2 is killed
+   by its own x event, id 1's x arrives only after its match completed,
+   and id 4's first a expires before its b shows up (30 - 3 > τ = 20)
+   while its second a still matches. *)
+let neg_pattern =
+  Pattern.make_full_exn ~schema
+    ~sets:[ [ v "a" ]; [ v "b" ] ]
+    ~negations:[ (0, v "x") ]
+    ~where:
+      ([ label "a" "a"; label "b" "b"; label "x" "x" ]
+      @ Pattern.Spec.
+          [
+            fields "a" "ID" Predicate.Eq "b" "ID";
+            fields "x" "ID" Predicate.Eq "a" "ID";
+          ])
+    ~within:20
+
+let neg_relation =
+  rel
+    [
+      (1, "a", 0, 0);
+      (2, "a", 0, 1);
+      (3, "a", 0, 2);
+      (4, "a", 0, 3);
+      (2, "x", 0, 5);
+      (1, "b", 0, 8);
+      (2, "b", 0, 9);
+      (3, "b", 0, 10);
+      (4, "a", 0, 12);
+      (1, "x", 0, 15);
+      (4, "b", 0, 30);
+    ]
+
+let test_negation_and_expiry_keyed () =
+  let automaton = Automaton.of_pattern neg_pattern in
+  Alcotest.(check bool) "negation pattern is partitionable" true
+    (Partitioned.partition_key automaton <> None);
+  let direct = Engine.run_relation automaton neg_relation in
+  check_substs neg_pattern
+    [
+      [ ("a", 1); ("b", 6) ];
+      [ ("a", 3); ("b", 8) ];
+      [ ("a", 9); ("b", 11) ];
+    ]
+    direct.Engine.matches;
+  Alcotest.(check bool) "kill exercised" true
+    (direct.Engine.metrics.Metrics.instances_killed >= 1);
+  Alcotest.(check bool) "expiry exercised" true
+    (direct.Engine.metrics.Metrics.instances_expired >= 1);
+  (* The incremental interface, to also pin down that the keyed layout
+     really engaged: one pool per ID. *)
+  let st = Partitioned.create automaton in
+  Seq.iter
+    (fun e -> ignore (Partitioned.feed st e))
+    (Relation.to_seq neg_relation);
+  ignore (Partitioned.close st);
+  Alcotest.(check int) "one pool per key" 4 (Partitioned.n_pools st);
+  let raw = Partitioned.emitted st in
+  Alcotest.(check bool) "keyed run agrees with the engine" true
+    (same_run direct
+       {
+         Engine.matches = Substitution.finalize neg_pattern raw;
+         raw;
+         metrics = Partitioned.metrics st;
+       })
 
 let suite =
   [
@@ -218,5 +312,7 @@ let suite =
     Alcotest.test_case "fallback without key" `Quick test_fallback_without_key;
     Alcotest.test_case "poisoned branch (skip-till-next-match)" `Quick
       test_poisoned_branch;
+    Alcotest.test_case "negation + expiry, keyed" `Quick
+      test_negation_and_expiry_keyed;
     QCheck_alcotest.to_alcotest partitioned_equals_direct;
   ]

@@ -170,12 +170,7 @@ let test_gauge () =
   Telemetry.Gauge.observe g 3;
   Alcotest.(check int) "samples" 3 (Telemetry.Gauge.samples g);
   Alcotest.(check int) "last" 3 (Telemetry.Gauge.last g);
-  Alcotest.(check int) "peak" 12 (Telemetry.Gauge.peak g);
-  (* delta form: levels accumulate, the peak is a level actually held *)
-  let d = Telemetry.gauge tl "delta" in
-  List.iter (Telemetry.Gauge.add d) [ 4; 3; -2; 6; -11 ];
-  Alcotest.(check int) "delta last" 0 (Telemetry.Gauge.last d);
-  Alcotest.(check int) "delta peak" 11 (Telemetry.Gauge.peak d)
+  Alcotest.(check int) "peak" 12 (Telemetry.Gauge.peak g)
 
 let test_json_round_trip () =
   let clock, advance = manual_clock () in
