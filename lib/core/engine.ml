@@ -12,6 +12,7 @@ type options = {
   policy : Substitution.policy;
   finalize : bool;
   precheck_constants : bool;
+  prune_dead : bool;
   store : store_kind;
   domains : int;
   batch_size : int;
@@ -33,6 +34,7 @@ let default_options =
     policy = Substitution.Operational;
     finalize = true;
     precheck_constants = true;
+    prune_dead = true;
     store = Indexed;
     domains = 1;
     batch_size = default_batch_size;
@@ -54,16 +56,29 @@ type instance = {
   first_ts : Time.t;
 }
 
+(* A dead-instance check for a variable v: a condition
+   [dead_var].A = v.[bound_field], where [partners] are all of
+   ([dead_var], A)'s equality partners, v's own field among them. It is
+   armed on the transitions binding v whose source has not bound
+   [dead_var]. *)
+type dead_check = {
+  dead_var : int;
+  bound_field : Schema.Field.t;
+  partners : (int * Schema.Field.t) list;
+}
+
 (* A transition with its condition set split into the constant atoms
    (v.A phi C, instance-independent) and the rest. With
    [precheck_constants] the constant atoms are evaluated once per input
    event instead of once per instance. [tgt_bucket] interns the target
-   state's store bucket so staging a successor costs no lookup. *)
+   state's store bucket so staging a successor costs no lookup.
+   [dead_checks] is empty unless [prune_dead]. *)
 type prepared_transition = {
   transition : Automaton.transition;
   const_conds : Condition.t list;
   var_conds : Condition.t list;
   tgt_bucket : instance Instance_store.handle;
+  dead_checks : dead_check list;
 }
 
 (* A negation guard: the variable whose occurrence kills, with its
@@ -81,6 +96,12 @@ type observation =
       event : Event.t;
       transition : Automaton.transition;
       buffer : Substitution.t;
+    }
+  | Pruned of {
+      event : Event.t;
+      transition : Automaton.transition;
+      buffer : Substitution.t;
+      dead_var : int;
     }
   | Ignored of {
       event : Event.t;
@@ -209,6 +230,30 @@ let create ?(options = default_options) automaton =
       boundaries
   in
   let accept = Automaton.accept automaton in
+  (* Per variable v, one check per condition u.A = v.A' whose u the
+     automaton must still bind: every quantifier has min >= 1, so an
+     accepting instance holds every variable of the accept state. A
+     transition binding v arms those whose u its target state lacks (so
+     the source has not bound it, and u <> v). The records are shared
+     across transitions, which keeps [create] cheap for the server's
+     per-REGISTER engines. *)
+  let checks_by_var = Array.make (Pattern.n_vars p) [] in
+  if options.prune_dead then
+    List.iter
+      (fun ((u, _), ps) ->
+        if Varset.mem u accept then
+          List.iter
+            (fun (v, f) ->
+              checks_by_var.(v) <-
+                { dead_var = u; bound_field = f; partners = ps }
+                :: checks_by_var.(v))
+            ps)
+      (Pattern.equality_partners p);
+  let dead_checks (tr : Automaton.transition) =
+    List.filter
+      (fun dc -> not (Varset.mem dc.dead_var tr.tgt))
+      checks_by_var.(tr.var)
+  in
   let slots =
     Array.of_list
       (List.map
@@ -227,6 +272,7 @@ let create ?(options = default_options) automaton =
                      const_conds;
                      var_conds;
                      tgt_bucket = Instance_store.handle store tr.tgt;
+                     dead_checks = dead_checks tr;
                    })
                  (Automaton.outgoing automaton q);
              guards =
@@ -336,13 +382,39 @@ let guards_may_fire slot e =
        (fun g -> List.for_all (fun c -> const_holds c e) g.guard_consts)
        slot.guards
 
+(* Dead-instance pruning: a successor binding [e] is dead when, for some
+   check, [e]'s value on [bound_field] differs from a partner value the
+   source instance already holds. The check's variable must equal both
+   (conjunctive decomposition), equality within one type is transitive,
+   and it has no binding yet, so it can never bind and the successor
+   can never accept. Plain recursion over the source's bindings: no
+   closure, and nothing allocated but the boxed value of a timestamp
+   field. *)
+let rec partner_differs x w ev = function
+  | [] -> false
+  | (w', f) :: ps ->
+      (w' = w && not (Predicate.eval Predicate.Eq x (Event.get ev f)))
+      || partner_differs x w ev ps
+
+let rec bindings_differ x partners = function
+  | [] -> false
+  | (w, ev) :: rest ->
+      partner_differs x w ev partners || bindings_differ x partners rest
+
+let rec doomed e bindings = function
+  | [] -> false
+  | dc :: rest ->
+      bindings_differ (Event.get e dc.bound_field) dc.partners bindings
+      || doomed e bindings rest
+
 (* ConsumeEvent (Algorithm 2): successors of [inst] — sitting in [slot] —
    on event [e] are handed to [on_succ] (with the transition that fired
-   them) in transition order. Returns [true] exactly when the instance
-   survives unchanged, which lets the indexed feed keep untouched
-   survivors in bucket order without re-sorting — fired or killed
-   instances are consumed (replace-on-fire), a fresh instance is never
-   kept. *)
+   them) in transition order; a dead successor (see [doomed]) is
+   dropped instead, and its source is still consumed. Returns [true]
+   exactly when the instance survives unchanged, which lets the indexed
+   feed keep untouched survivors in bucket order without re-sorting —
+   fired or killed instances are consumed (replace-on-fire), a fresh
+   instance is never kept. *)
 let consume st slot inst e ~on_succ =
   let lookup v =
     List.rev
@@ -372,24 +444,47 @@ let consume st slot inst e ~on_succ =
       in
       if ok then begin
         fired := true;
-        Metrics.on_transition st.m;
-        Metrics.on_instance_created st.m;
-        let counts = Array.copy inst.counts in
-        counts.(tr.var) <- counts.(tr.var) + 1;
-        let id = st.next_id in
-        st.next_id <- id + 1;
-        let successor =
-          {
-            id;
-            state = tr.tgt;
-            bindings = (tr.var, e) :: inst.bindings;
-            counts;
-            first_ts = (if is_fresh inst then Event.ts e else inst.first_ts);
-          }
-        in
-        observe st
-          (Took { event = e; transition = tr; buffer = substitution_of successor });
-        on_succ pt successor
+        if doomed e inst.bindings pt.dead_checks then begin
+          Metrics.on_pruned st.m;
+          (* No successor, so no buffer to build unless someone watches. *)
+          match st.observer with
+          | None -> ()
+          | Some f ->
+              let dc =
+                List.find
+                  (fun dc -> doomed e inst.bindings [ dc ])
+                  pt.dead_checks
+              in
+              f
+                (Pruned
+                   {
+                     event = e;
+                     transition = tr;
+                     buffer = List.rev ((tr.var, e) :: inst.bindings);
+                     dead_var = dc.dead_var;
+                   })
+        end
+        else begin
+          Metrics.on_transition st.m;
+          Metrics.on_instance_created st.m;
+          let counts = Array.copy inst.counts in
+          counts.(tr.var) <- counts.(tr.var) + 1;
+          let id = st.next_id in
+          st.next_id <- id + 1;
+          let successor =
+            {
+              id;
+              state = tr.tgt;
+              bindings = (tr.var, e) :: inst.bindings;
+              counts;
+              first_ts = (if is_fresh inst then Event.ts e else inst.first_ts);
+            }
+          in
+          observe st
+            (Took
+               { event = e; transition = tr; buffer = substitution_of successor });
+          on_succ pt successor
+        end
       end)
     (candidate_transitions st slot e);
   if !fired then false

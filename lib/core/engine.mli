@@ -51,6 +51,20 @@ type options = {
           event, shared across all instances, instead of once per
           instance (default [true]; disable to time the paper's verbatim
           loop — the optimization never changes the result, only work) *)
+  prune_dead : bool;
+      (** drop a successor at creation when it can never accept (default
+          [true]; disable to time the paper's verbatim Algorithm 1). The
+          successor binding event [e] to [v] is dead when some positive
+          variable [u] is still unbound, Θ has a condition
+          [u.A = v.A'], and [e.A'] differs from a value that one of
+          [u.A]'s equality partners ({!Ses_pattern.Pattern.equality_partners})
+          has already bound: [u] must bind (every quantifier has
+          min ≥ 1) and must equal both values. The source instance is
+          still consumed and instances never interact, so raw emissions,
+          matches and every strategy's output are unchanged; only work
+          counters move, and dropped successors are counted in
+          [instances_pruned]. The checks are derived once per stream in
+          {!create} and tested only when a transition fires. *)
   store : store_kind;  (** pool representation (default [Indexed]) *)
   domains : int;
       (** worker domains for several queries (default 1 = fully
@@ -87,9 +101,11 @@ type outcome = {
 (** Execution events, for tracing and debugging (the paper's Figure 6
     illustrates an execution as a sequence of exactly these): a fresh
     instance opened for an input event, a transition taken (with the
-    buffer {e after} binding), an event ignored by an instance (no
-    transition fired), an instance expired (emitting when it was
-    accepting), a substitution emitted. *)
+    buffer {e after} binding), a transition whose successor was dropped
+    as dead ({!options.prune_dead}; reported in place of [Took], with
+    the buffer the successor would have had), an event ignored by an
+    instance (no transition fired), an instance expired (emitting when
+    it was accepting), a substitution emitted. *)
 type observation =
   | Created of Event.t
   | Took of {
@@ -97,6 +113,14 @@ type observation =
       transition : Automaton.transition;
       buffer : Substitution.t;
     }
+  | Pruned of {
+      event : Event.t;
+      transition : Automaton.transition;
+      buffer : Substitution.t;
+      dead_var : int;
+          (** the first still-unbound variable whose equality partners
+              disagree in [buffer] *)
+    }  (** successor dropped: it can never accept *)
   | Ignored of {
       event : Event.t;
       state : Varset.t;

@@ -6,6 +6,12 @@ type transition_stats = {
   fired : int;
 }
 
+type pruned_stats = {
+  via : Automaton.transition;
+  dead_var : int;
+  dropped : int;
+}
+
 type report = {
   pattern : Pattern.t;
   events : int;
@@ -16,6 +22,7 @@ type report = {
   stuck : (Varset.t * int) list;
   transitions : transition_stats list;
   killed : int;
+  pruned : pruned_stats list;
   emission_lag : (float * int) option;
 }
 
@@ -40,6 +47,7 @@ let explain ?options automaton relation =
   let entered = Hashtbl.create 32 in
   let stuck = Hashtbl.create 32 in
   let fired = Hashtbl.create 64 in
+  let pruned = Hashtbl.create 16 in
   let bump table key =
     Hashtbl.replace table key
       (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
@@ -56,6 +64,8 @@ let explain ?options automaton relation =
                ( transition.Automaton.src,
                  transition.Automaton.var,
                  transition.Automaton.tgt )
+         | Engine.Pruned { transition = tr; dead_var; _ } ->
+             bump pruned (tr.src, tr.var, tr.tgt, dead_var)
          | Engine.Expired { accepting = false; buffer; _ } ->
              bump stuck (state_of_buffer buffer)
          | Engine.Expired { accepting = true; event; buffer } ->
@@ -113,6 +123,18 @@ let explain ?options automaton relation =
           })
         (Automaton.transitions automaton);
     killed = metrics.Metrics.instances_killed;
+    pruned =
+      List.stable_sort
+        (fun a b -> Int.compare b.dropped a.dropped)
+        (List.concat_map
+           (fun (tr : Automaton.transition) ->
+             List.filter_map
+               (fun u ->
+                 Option.map
+                   (fun n -> { via = tr; dead_var = u; dropped = n })
+                   (Hashtbl.find_opt pruned (tr.src, tr.var, tr.tgt, u)))
+               (List.init (Pattern.n_vars p) Fun.id))
+           (Automaton.transitions automaton));
     emission_lag =
       (match !lags with
       | [] -> None
@@ -130,6 +152,9 @@ let pp ppf r =
     r.events r.raw r.matches;
   if r.killed > 0 then
     Format.fprintf ppf "%d instances killed by negation guards@," r.killed;
+  (match List.fold_left (fun acc ps -> acc + ps.dropped) 0 r.pruned with
+  | 0 -> ()
+  | n -> Format.fprintf ppf "%d successors pruned: they could never match@," n);
   (match r.emission_lag with
   | Some (mean, worst) ->
       Format.fprintf ppf
@@ -156,12 +181,29 @@ let pp ppf r =
       List.iter
         (fun (q, n) ->
           Format.fprintf ppf "  at %a: %d@," pp_state q n;
+          let dropped_on (tr : Automaton.transition) ps =
+            Varset.equal ps.via.Automaton.src tr.src
+            && ps.via.Automaton.var = tr.var
+            && Varset.equal ps.via.Automaton.tgt tr.tgt
+          in
           List.iter
             (fun ts ->
-              if ts.fired = 0 && Varset.equal ts.transition.Automaton.src q
+              if
+                ts.fired = 0
+                && Varset.equal ts.transition.Automaton.src q
+                && not (List.exists (dropped_on ts.transition) r.pruned)
               then
                 Format.fprintf ppf "    transition %s never fired@,"
                   (name_of ts.transition.Automaton.var))
-            r.transitions)
+            r.transitions;
+          List.iter
+            (fun ps ->
+              if Varset.equal ps.via.Automaton.src q then
+                Format.fprintf ppf
+                  "    %d successors into %a were dropped: %s's equality \
+                   partners already disagree@,"
+                  ps.dropped pp_state ps.via.Automaton.tgt
+                  (name_of ps.dead_var))
+            r.pruned)
         stuck);
   Format.fprintf ppf "@]"

@@ -4,11 +4,12 @@
     aggregates where the search effort went: how many input events could
     bind each variable at all (its constant conditions), how often each
     state was entered and each transition fired, where instances were
-    still stuck when they expired or the input ended, and how many were
-    killed by negation guards. The report turns "0 matches" from a
-    mystery into a pointer — e.g. "state {c,d} was reached 17 times but
-    the p transition never fired: no event satisfies p's conditions
-    against the bound c". *)
+    still stuck when they expired or the input ended, how many were
+    killed by negation guards, and how many successors were dropped
+    because they could never match ({!Engine.options.prune_dead}). The
+    report turns "0 matches" from a mystery into a pointer — e.g.
+    "state {c,d} was reached 17 times but the p transition never fired:
+    no event satisfies p's conditions against the bound c". *)
 
 open Ses_event
 open Ses_pattern
@@ -16,6 +17,14 @@ open Ses_pattern
 type transition_stats = {
   transition : Automaton.transition;
   fired : int;  (** times taken *)
+}
+
+type pruned_stats = {
+  via : Automaton.transition;  (** the transition whose successors died *)
+  dead_var : int;
+      (** the still-unbound variable whose equality partners already
+          disagree in the dropped successors' buffers *)
+  dropped : int;  (** successors dropped *)
 }
 
 type report = {
@@ -33,6 +42,10 @@ type report = {
           at end of input *)
   transitions : transition_stats list;
   killed : int;  (** instances removed by negation guards *)
+  pruned : pruned_stats list;
+      (** successors dropped as dead, per transition (so per source and
+          target state) and dead variable, descending by count; they
+          are not counted in [entered] or [transitions] *)
   emission_lag : (float * int) option;
       (** (mean, max) delay in time units between a match's last event and
           its emission — MAXIMAL semantics emit at window expiry, so this
@@ -45,4 +58,6 @@ val explain : ?options:Engine.options -> Automaton.t -> Relation.t -> report
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable narrative, including the "never fired" transitions out
-    of the most-visited stuck states. *)
+    of the most-visited stuck states and, under each, the successors it
+    dropped as dead — e.g. "50 successors into p+d were dropped: c's
+    equality partners already disagree". *)

@@ -6,6 +6,7 @@ type t = {
   mutable transitions_fired : int;
   mutable instances_expired : int;
   mutable instances_killed : int;
+  mutable instances_pruned : int;
   mutable matches_emitted : int;
 }
 
@@ -17,6 +18,7 @@ type snapshot = {
   transitions_fired : int;
   instances_expired : int;
   instances_killed : int;
+  instances_pruned : int;
   matches_emitted : int;
 }
 
@@ -29,6 +31,7 @@ let create () : t =
     transitions_fired = 0;
     instances_expired = 0;
     instances_killed = 0;
+    instances_pruned = 0;
     matches_emitted = 0;
   }
 
@@ -48,6 +51,8 @@ let on_expired (m : t) = m.instances_expired <- m.instances_expired + 1
 
 let on_killed (m : t) = m.instances_killed <- m.instances_killed + 1
 
+let on_pruned (m : t) = m.instances_pruned <- m.instances_pruned + 1
+
 let on_match (m : t) = m.matches_emitted <- m.matches_emitted + 1
 
 let sample_population (m : t) n =
@@ -62,6 +67,7 @@ let snapshot (m : t) : snapshot =
     transitions_fired = m.transitions_fired;
     instances_expired = m.instances_expired;
     instances_killed = m.instances_killed;
+    instances_pruned = m.instances_pruned;
     matches_emitted = m.matches_emitted;
   }
 
@@ -83,6 +89,7 @@ let merge snapshots =
         transitions_fired = acc.transitions_fired + s.transitions_fired;
         instances_expired = acc.instances_expired + s.instances_expired;
         instances_killed = acc.instances_killed + s.instances_killed;
+        instances_pruned = acc.instances_pruned + s.instances_pruned;
         matches_emitted = acc.matches_emitted + s.matches_emitted;
       })
     {
@@ -93,6 +100,7 @@ let merge snapshots =
       transitions_fired = 0;
       instances_expired = 0;
       instances_killed = 0;
+      instances_pruned = 0;
       matches_emitted = 0;
     }
     snapshots
@@ -114,6 +122,7 @@ let merge_replicas snapshots =
         transitions_fired = acc.transitions_fired + s.transitions_fired;
         instances_expired = acc.instances_expired + s.instances_expired;
         instances_killed = acc.instances_killed + s.instances_killed;
+        instances_pruned = acc.instances_pruned + s.instances_pruned;
         matches_emitted = acc.matches_emitted + s.matches_emitted;
       })
     {
@@ -124,6 +133,7 @@ let merge_replicas snapshots =
       transitions_fired = 0;
       instances_expired = 0;
       instances_killed = 0;
+      instances_pruned = 0;
       matches_emitted = 0;
     }
     snapshots
@@ -137,19 +147,20 @@ let zero =
     transitions_fired = 0;
     instances_expired = 0;
     instances_killed = 0;
+    instances_pruned = 0;
     matches_emitted = 0;
   }
 
 let to_json s =
   Printf.sprintf
-    "{\"events_seen\":%d,\"events_filtered\":%d,\"instances_created\":%d,\"max_simultaneous_instances\":%d,\"transitions_fired\":%d,\"instances_expired\":%d,\"instances_killed\":%d,\"matches_emitted\":%d}"
+    "{\"events_seen\":%d,\"events_filtered\":%d,\"instances_created\":%d,\"max_simultaneous_instances\":%d,\"transitions_fired\":%d,\"instances_expired\":%d,\"instances_killed\":%d,\"instances_pruned\":%d,\"matches_emitted\":%d}"
     s.events_seen s.events_filtered s.instances_created
     s.max_simultaneous_instances s.transitions_fired s.instances_expired
-    s.instances_killed s.matches_emitted
+    s.instances_killed s.instances_pruned s.matches_emitted
 
 let pp ppf s =
   Format.fprintf ppf
-    "@[<v>events seen:        %d@,events filtered:    %d@,instances created:  %d@,max simultaneous:   %d@,transitions fired:  %d@,instances expired:  %d@,instances killed:   %d@,matches emitted:    %d@]"
+    "@[<v>events seen:        %d@,events filtered:    %d@,instances created:  %d@,max simultaneous:   %d@,transitions fired:  %d@,instances expired:  %d@,instances killed:   %d@,instances pruned:   %d@,matches emitted:    %d@]"
     s.events_seen s.events_filtered s.instances_created
     s.max_simultaneous_instances s.transitions_fired s.instances_expired
-    s.instances_killed s.matches_emitted
+    s.instances_killed s.instances_pruned s.matches_emitted

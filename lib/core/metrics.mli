@@ -14,6 +14,11 @@ type snapshot = {
   transitions_fired : int;
   instances_expired : int;  (** removed on τ violation *)
   instances_killed : int;  (** removed by a negation guard *)
+  instances_pruned : int;
+      (** successors dropped at creation because they can never accept:
+          a still-unbound variable's equality partners already disagree
+          (see {!Engine.options.prune_dead}). Not counted in
+          [instances_created] or [transitions_fired]. *)
   matches_emitted : int;  (** raw candidate substitutions *)
 }
 
@@ -36,6 +41,8 @@ val on_transition : t -> unit
 val on_expired : t -> unit
 
 val on_killed : t -> unit
+
+val on_pruned : t -> unit
 
 val on_match : t -> unit
 

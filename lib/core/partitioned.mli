@@ -26,8 +26,11 @@
       evaluate conditions per binding, so Θ can never relate two bindings
       of the {e same} group variable: a loop at a state where no join
       partner is bound (e.g. {p+} alone) accepts events of any key, and
-      the same divergence arises. Patterns whose group variable can be
-      bound first are therefore never partitionable.
+      the same divergence arises. The successor that holds two keys is
+      dead and {!Engine.options.prune_dead} drops it, but the source
+      instance is still consumed (replace-on-fire), so the divergence
+      stands. Patterns whose group variable can be bound first are
+      therefore never partitionable.
 
     [partition_key] decides the criterion on the constructed automaton;
     both [create] and [run] fall back to a single plain engine stream when

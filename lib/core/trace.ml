@@ -29,6 +29,12 @@ let pp_observation p ppf (obs : Engine.observation) =
         (Event.name event) pp_state transition.Automaton.src
         (name_of transition.Automaton.var)
         pp_state transition.Automaton.tgt pp_subst buffer
+  | Engine.Pruned { event; transition; buffer; _ } ->
+      Format.fprintf ppf
+        "read %s: prune (%a --%s--> %a), buffer %a can never match"
+        (Event.name event) pp_state transition.Automaton.src
+        (name_of transition.Automaton.var)
+        pp_state transition.Automaton.tgt pp_subst buffer
   | Engine.Ignored { event; state; buffer } ->
       Format.fprintf ppf "read %s: ignore at %a, buffer %a" (Event.name event)
         pp_state state pp_subst buffer
@@ -53,6 +59,7 @@ let for_buffer target steps =
       match obs with
       | Engine.Created _ -> false
       | Engine.Took { buffer; _ } -> buffer <> [] && within buffer
+      | Engine.Pruned { buffer; _ } -> buffer <> [] && within buffer
       | Engine.Ignored { buffer; _ } -> buffer <> [] && within buffer
       | Engine.Expired { buffer; _ } -> buffer <> [] && within buffer
       | Engine.Killed { buffer; _ } -> buffer <> [] && within buffer

@@ -9,7 +9,10 @@
     {v
     read e4: take ({c,d} --p+--> {c,d,p+}), buffer {c/e1, d/e3, p+/e4}
     read e6: ignore at {c,d,p+}, buffer {c/e1, d/e3, p+/e4}
-    v} *)
+    v}
+
+    A successor dropped as dead ({!Engine.options.prune_dead}) prints as
+    [prune] in place of [take], with the buffer it would have had. *)
 
 open Ses_event
 open Ses_pattern

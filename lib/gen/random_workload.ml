@@ -58,12 +58,18 @@ let duplicated_relation rng ~copies spec =
   done;
   Relation.of_rows_exn schema (List.rev !rows)
 
+type join_shape =
+  | Complete
+  | Star
+  | Chain
+
 type pattern_spec = {
   max_sets : int;
   max_vars_per_set : int;
   allow_groups : bool;
   p_label_cond : float;
   p_id_join : float;
+  join_shapes : join_shape list;
   p_value_cond : float;
   n_labels : int;
   max_value : int;
@@ -78,6 +84,7 @@ let default_pattern =
     allow_groups = true;
     p_label_cond = 0.9;
     p_id_join = 0.5;
+    join_shapes = [ Complete ];
     p_value_cond = 0.2;
     n_labels = 3;
     max_value = 5;
@@ -130,19 +137,39 @@ let pattern rng spec =
       names
   in
   let id_joins =
-    (* A complete ID-equality graph: redundant transitively, but condition
-       attachment is syntactic and the completeness is what makes the
-       per-key partitioned evaluation applicable. *)
+    (* A complete ID-equality graph is redundant transitively, but
+       condition attachment is syntactic and the completeness is what
+       makes the per-key partitioned evaluation applicable. A star (Q1's
+       shape) or a chain leaves bound join partners unjoined to each
+       other. The shape is drawn only when there is a choice, so a
+       single-shape spec consumes the same randomness as before. *)
     if Prng.chance rng spec.p_id_join then
-      List.concat_map
-        (fun name ->
+      let join a b = Pattern.Spec.fields a "ID" Predicate.Eq b "ID" in
+      let shape =
+        match spec.join_shapes with
+        | [ shape ] -> shape
+        | shapes -> Prng.pick rng shapes
+      in
+      match shape with
+      | Complete ->
+          List.concat_map
+            (fun name ->
+              List.filter_map
+                (fun name' ->
+                  if name < name' then Some (join name name') else None)
+                names)
+            names
+      | Star ->
+          let centre = Prng.pick rng names in
           List.filter_map
-            (fun name' ->
-              if name < name' then
-                Some (Pattern.Spec.fields name "ID" Predicate.Eq name' "ID")
-              else None)
-            names)
-        names
+            (fun name -> if name = centre then None else Some (join centre name))
+            names
+      | Chain ->
+          let rec links = function
+            | a :: (b :: _ as rest) -> join a b :: links rest
+            | [ _ ] | [] -> []
+          in
+          links names
     else []
   in
   let tau = spec.tau_min + Prng.int rng (spec.tau_max - spec.tau_min + 1) in

@@ -34,12 +34,25 @@ val duplicated_relation : Prng.t -> copies:int -> relation_spec -> Relation.t
     keeps the base spec's shape while the whole relation scales to
     millions of events. Raises [Invalid_argument] when [copies < 1]. *)
 
+(** The graph of [ID] equalities a pattern's joins form. *)
+type join_shape =
+  | Complete  (** every pair of variables joined *)
+  | Star
+      (** one variable, drawn at random, joined to every other — Q1's
+          shape, where two bound partners need not share an ID *)
+  | Chain  (** each variable joined to the next, in declaration order *)
+
 type pattern_spec = {
   max_sets : int;  (** ≥ 1 *)
   max_vars_per_set : int;  (** ≥ 1 *)
   allow_groups : bool;  (** at most one group variable is generated *)
   p_label_cond : float;  (** probability a variable gets an L = 'x' condition *)
-  p_id_join : float;  (** probability of an ID-equality chain across variables *)
+  p_id_join : float;  (** probability of ID-equality joins across variables *)
+  join_shapes : join_shape list;
+      (** the shapes those joins are drawn from, uniformly; must not be
+          empty (default [[Complete]]: a single shape draws no
+          randomness, so the default's draws are those of a generator
+          without this field) *)
   p_value_cond : float;  (** probability of a V φ k condition *)
   n_labels : int;
   max_value : int;

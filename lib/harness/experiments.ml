@@ -41,14 +41,15 @@ let dataset cfg = Ses_gen.Chemo.generate cfg.chemo
 let d_series cfg = Ses_gen.Dataset.d_series (dataset cfg) cfg.n_datasets
 
 (* The measured loops never finalize and disable the engine's
-   constant-condition pre-check: the paper measures the verbatim automaton
-   execution. *)
+   constant-condition pre-check and dead-instance pruning: the paper
+   measures the verbatim automaton execution. *)
 let raw_options filter =
   {
     Engine.default_options with
     Engine.filter;
     finalize = false;
     precheck_constants = false;
+    prune_dead = false;
   }
 
 let ses_metrics ?(filter = Event_filter.No_filter) pattern relation =
@@ -244,6 +245,41 @@ let ablation_precheck cfg =
     ~headers:[ "pattern"; "constants"; "raw matches"; "time [s]" ]
     rows
 
+(* Q1's |Ω| counts instances that can never match: the p+ loop binds P
+   events of any patient while c is unbound. Pruning drops them and
+   leaves the raw matches as they are. *)
+let ablation_prune cfg =
+  let d1 = dataset cfg in
+  let automaton = Automaton.of_pattern Queries.q1 in
+  let rows =
+    List.map
+      (fun (mname, prune) ->
+        let options =
+          {
+            (raw_options Event_filter.No_filter) with
+            Engine.prune_dead = prune;
+          }
+        in
+        let outcome, t =
+          Timer.time_median ~repeats:cfg.repeats (fun () ->
+              Engine.run_relation ~options automaton d1)
+        in
+        let m = outcome.Engine.metrics in
+        [
+          mname;
+          Report.int_cell (List.length outcome.Engine.raw);
+          Report.int_cell m.Metrics.instances_created;
+          Report.int_cell m.Metrics.instances_pruned;
+          Report.int_cell m.Metrics.max_simultaneous_instances;
+          Report.float_cell t;
+        ])
+      [ ("off", false); ("on", true) ]
+  in
+  Report.make ~title:"Ablation: dead-instance pruning on Q1 (D1)"
+    ~headers:
+      [ "pruning"; "raw matches"; "instances"; "pruned"; "max |O|"; "time [s]" ]
+    rows
+
 let ablation_partition cfg =
   let d1 = dataset cfg in
   (* All strategies evaluate the complete-join variant of Q1 so that the
@@ -418,6 +454,7 @@ let run_all ?csv_dir ~ppf cfg =
   show "exp3_fig13" (exp3 cfg);
   show "ablation_filter" (ablation_filter cfg);
   show "ablation_precheck" (ablation_precheck cfg);
+  show "ablation_prune" (ablation_prune cfg);
   show "ablation_partition" (ablation_partition cfg);
   show "sweep_set_size" (sweep_set_size cfg);
   show "sweep_selectivity" (sweep_selectivity cfg)

@@ -51,6 +51,12 @@ val ablation_precheck : config -> Report.t
     transition conditions ({!Ses_core.Engine.options.precheck_constants}):
     identical raw output, different work. *)
 
+val ablation_prune : config -> Report.t
+(** The paper's Q1 with dead-instance pruning off (the verbatim loop)
+    and on ({!Ses_core.Engine.options.prune_dead}): identical raw
+    matches; instances created, successors pruned, peak |Ω| and time
+    show how much of the paper's |Ω| can never match. *)
+
 val ablation_partition : config -> Report.t
 (** The running example's Q1 evaluated directly vs. per patient partition
     (the ID-join conditions make partitions independent): time, peak |Ω|

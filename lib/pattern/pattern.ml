@@ -301,6 +301,33 @@ let positive_conditions p =
     (fun c -> not (List.exists (is_negated p) (Condition.vars c)))
     p.conditions
 
+let equality_partners p =
+  let ty f = Schema.Field.type_of p.schema f in
+  let edges =
+    List.filter_map
+      (fun (c : Condition.t) ->
+        match c.op, c.rhs with
+        | Predicate.Eq, Condition.Var (v', f')
+          when v' <> c.var
+               && (not (is_negated p c.var || is_negated p v'))
+               && Value.ty_equal (ty c.field) (ty f') ->
+            Some ((c.var, c.field), (v', f'))
+        | _, (Condition.Var _ | Condition.Const _) -> None)
+      p.conditions
+  in
+  let same (v, f) (v', f') = v = v' && Schema.Field.equal f f' in
+  let add x acc =
+    if List.exists (fun (k, _) -> same k x) acc then acc
+    else
+      ( x,
+        List.filter_map
+          (fun (a, b) ->
+            if same a x then Some b else if same b x then Some a else None)
+          edges )
+      :: acc
+  in
+  List.fold_left (fun acc (a, b) -> add b (add a acc)) [] edges
+
 let conditions_on p v = List.filter (fun c -> Condition.mentions c v) p.conditions
 
 let constant_conditions_on p v =

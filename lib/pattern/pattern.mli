@@ -136,6 +136,18 @@ val positive_conditions : t -> Condition.t list
 (** Θ proper: the conditions that mention no negated variable — the ones
     attached to automaton transitions. *)
 
+val equality_partners :
+  t -> ((int * Schema.Field.t) * (int * Schema.Field.t) list) list
+(** For every field [u.A] of a positive variable that Θ equates with a
+    field of another variable, the partners [(w, A_w)] of all the
+    conditions [u.A = w.A_w] (either orientation). Left out are
+    reflexive conditions ([p.A = p.A']), conditions on negated variables
+    and conditions between fields of different types: equality chains
+    through a shared value only within one type ([Int] 2{^53} and
+    2{^53}+1 both equal [Float] 2{^53}). By conjunctive decomposition
+    every binding of [u] must equal every bound partner value on [A], so
+    two partner values that differ leave [u] unbindable. *)
+
 val conditions_on : t -> int -> Condition.t list
 (** Conditions mentioning the given variable. *)
 

@@ -41,8 +41,8 @@ let events_of r = Array.of_seq (Relation.to_seq r)
 (* Run [strategy] over [r], delivering the input per event when
    [batch = None] and in [Array.sub] chunks of the given size
    otherwise, and collect everything equivalence is judged on. *)
-let observe ~batch strategy pat r =
-  let exec = Executor.create strategy (Automaton.of_pattern pat) in
+let observe ?(options = Engine.default_options) ~batch strategy pat r =
+  let exec = Executor.create ~options strategy (Automaton.of_pattern pat) in
   let events = events_of r in
   (match batch with
   | None -> Array.iter (fun e -> ignore (Executor.feed exec e)) events
@@ -57,7 +57,8 @@ let observe ~batch strategy pat r =
   ignore (Executor.close exec);
   let raw = Executor.emitted exec in
   {
-    o_matches = canon (Substitution.finalize pat raw);
+    o_matches =
+      canon (Substitution.finalize ~policy:options.Engine.policy pat raw);
     o_raw = canon_sorted raw;
     o_metrics = Executor.metrics exec;
   }
@@ -161,6 +162,52 @@ let keyed_batched_equals_per_event =
           equivalent reference (observe ~batch:(Some b) `Partitioned pat r))
         batch_grid)
 
+(* Dead-instance pruning never shows in the output: with it on and off,
+   each strategy gives the same raw multiset and the same finalized
+   matches at every chunking, under both finalize policies and every
+   event filter. The patterns mix ID-join shapes, so a star or a chain
+   leaves bound partners unjoined and successors do get pruned; with
+   pruning off none may be. *)
+let prune_on_equals_off =
+  QCheck.Test.make ~count:60
+    ~name:"prune on = off (strategies, chunkings, policies, filters)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let pat =
+        Random_workload.pattern rng
+          {
+            Random_workload.default_pattern with
+            Random_workload.p_id_join = 1.0;
+            join_shapes = Random_workload.[ Complete; Star; Chain ];
+          }
+      in
+      let r = Random_workload.relation rng Random_workload.default_relation in
+      let agrees strategy b policy filter =
+        let run prune_dead =
+          let options =
+            { Engine.default_options with Engine.policy; filter; prune_dead }
+          in
+          observe ~options ~batch:(Some b) strategy pat r
+        in
+        let on = run true and off = run false in
+        on.o_raw = off.o_raw
+        && on.o_matches = off.o_matches
+        && off.o_metrics.Metrics.instances_pruned = 0
+      in
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun b ->
+              List.for_all
+                (fun policy ->
+                  List.for_all
+                    (agrees strategy b policy)
+                    Event_filter.[ No_filter; Paper; Strong ])
+                Substitution.[ Operational; Literal ])
+            [ 1; 7; 64; 4096 ])
+        [ `Plain; `Partitioned; `Auto ])
+
 (* Deterministic fixture: an ID-pinned negation kill (id 2), a match
    completing before its kill event arrives (id 1), and a τ-expiry
    inside a later chunk — at batch 7, events 1..7 arrive in one chunk
@@ -232,6 +279,7 @@ let suite =
       batched_equals_per_event;
       chunk_emissions_equal_per_event;
       keyed_batched_equals_per_event;
+      prune_on_equals_off;
     ]
   @ [
       Alcotest.test_case "negation + expiry at batch boundaries" `Quick

@@ -270,6 +270,105 @@ let test_metrics_consistency () =
   Alcotest.(check int) "raw = emitted counter" (List.length outcome.Engine.raw)
     m.Metrics.matches_emitted
 
+(* Dead-instance pruning. [run_pruning p r] runs [p] over [r] with
+   pruning on and off and checks that the two give the same raw
+   multiset and the same matches; it returns the pruned run. *)
+let run_pruning p r =
+  let with_prune prune_dead =
+    run ~options:{ Engine.default_options with Engine.prune_dead } p r
+  in
+  let on = with_prune true and off = with_prune false in
+  Alcotest.(check (list (list (pair string int))))
+    "same raw" (substs_repr p off.Engine.raw) (substs_repr p on.Engine.raw);
+  Alcotest.(check (list (list (pair string int))))
+    "same matches"
+    (substs_repr p off.Engine.matches)
+    (substs_repr p on.Engine.matches);
+  Alcotest.(check int) "nothing pruned when off" 0
+    off.Engine.metrics.Metrics.instances_pruned;
+  on
+
+let test_prune_q1 () =
+  (* Q1's p+ loop in {p} carries no join (no partner is bound yet), so it
+     binds P events of any patient; once p holds two patient IDs the
+     unbound c can never satisfy c.ID = p.ID. The same holds for {p, d}
+     when p and d are different patients: Q1 has no p.ID = d.ID, but c
+     must equal both. *)
+  let r =
+    Ses_gen.Chemo.generate
+      { Ses_gen.Chemo.default with Ses_gen.Chemo.patients = 4; horizon_days = 42 }
+  in
+  let on = run_pruning query_q1 r in
+  Alcotest.(check int) "pruned successors" 39
+    on.Engine.metrics.Metrics.instances_pruned;
+  Alcotest.(check bool) "some matches" true (on.Engine.matches <> [])
+
+let test_prune_mixed_numeric_types () =
+  (* Equality does not chain across Int and Float: Int 2^53 and
+     Int 2^53 + 1 both equal Float 2^53. So u.F = x.I and u.F = y.I hold
+     together although x.I <> y.I, and the successor binding the second
+     of x, y must survive. *)
+  let schema =
+    Ses_event.Schema.make_exn
+      Ses_event.Value.[ ("I", Tint); ("F", Tfloat); ("L", Tstr) ]
+  in
+  let big = 1 lsl 53 in
+  let r =
+    Ses_event.Relation.of_rows_exn schema
+      Ses_event.Value.
+        [
+          ([| Int big; Float 0.; Str "x" |], 0);
+          ([| Int (big + 1); Float 0.; Str "y" |], 1);
+          ([| Int 0; Float (float_of_int big); Str "u" |], 2);
+        ]
+  in
+  let label name l =
+    Ses_pattern.Pattern.Spec.const name "L" Ses_event.Predicate.Eq
+      (Ses_event.Value.Str l)
+  in
+  let p =
+    Ses_pattern.Pattern.make_exn ~schema
+      ~sets:[ [ v "x"; v "y" ]; [ v "u" ] ]
+      ~where:
+        [
+          label "x" "x";
+          label "y" "y";
+          label "u" "u";
+          Ses_pattern.Pattern.Spec.fields "u" "F" Ses_event.Predicate.Eq "x" "I";
+          Ses_pattern.Pattern.Spec.fields "u" "F" Ses_event.Predicate.Eq "y" "I";
+        ]
+      ~within:10
+  in
+  let on = run_pruning p r in
+  check_substs p [ [ ("u", 3); ("x", 1); ("y", 2) ] ] on.Engine.matches;
+  Alcotest.(check int) "nothing pruned" 0
+    on.Engine.metrics.Metrics.instances_pruned
+
+let test_prune_ignores_negation () =
+  (* A negated variable is never required: the only join, h.ID = x.ID,
+     guards NOT (x), so h+ may bind two IDs — the guard can then no
+     longer fire, which is not death. *)
+  let p =
+    Ses_pattern.Pattern.make_full_exn ~schema
+      ~sets:[ [ vplus "h" ]; [ v "i" ] ]
+      ~negations:[ (0, v "x") ]
+      ~where:
+        [
+          label "h" "h";
+          label "i" "i";
+          label "x" "x";
+          Ses_pattern.Pattern.Spec.fields "h" "ID" Ses_event.Predicate.Eq "x"
+            "ID";
+        ]
+      ~within:10
+  in
+  let on =
+    run_pruning p (rel [ (1, "h", 0, 0); (2, "h", 0, 1); (3, "x", 0, 2); (1, "i", 0, 3) ])
+  in
+  check_substs p [ [ ("h+", 1); ("h+", 2); ("i", 4) ] ] on.Engine.matches;
+  Alcotest.(check int) "nothing pruned" 0
+    on.Engine.metrics.Metrics.instances_pruned
+
 let suite =
   [
     Alcotest.test_case "simple sequence" `Quick test_simple_sequence;
@@ -297,4 +396,9 @@ let suite =
     Alcotest.test_case "population histogram ordering" `Quick
       test_population_by_state_ordering;
     Alcotest.test_case "metrics consistency" `Quick test_metrics_consistency;
+    Alcotest.test_case "prune: Q1 drops dead successors" `Quick test_prune_q1;
+    Alcotest.test_case "prune: no chaining across Int and Float" `Quick
+      test_prune_mixed_numeric_types;
+    Alcotest.test_case "prune: negated variables are never required" `Quick
+      test_prune_ignores_negation;
   ]

@@ -89,6 +89,32 @@ let test_emission_lag () =
       Alcotest.(check (float 0.01)) "mean lag" 48.0 mean
   | None -> Alcotest.fail "expected an emission lag"
 
+let test_pruned_reported () =
+  (* Q1 on Figure 1: P events of the other patient extend {p+}, and c
+     must then equal two IDs. Each dropped successor is counted once, with
+     c as the variable that can no longer bind. *)
+  let r = Explain.explain (Automaton.of_pattern query_q1) figure_1 in
+  let c = Option.get (Ses_pattern.Pattern.var_id query_q1 "c") in
+  let dropped =
+    List.fold_left (fun acc ps -> acc + ps.Explain.dropped) 0 r.Explain.pruned
+  in
+  Alcotest.(check int) "dropped successors" 3 dropped;
+  Alcotest.(check int) "every pruned successor is attributed"
+    (Engine.run_relation (Automaton.of_pattern query_q1) figure_1)
+      .Engine.metrics.Metrics.instances_pruned dropped;
+  Alcotest.(check bool) "c is the dead variable" true
+    (List.for_all (fun ps -> ps.Explain.dead_var = c) r.Explain.pruned);
+  let rendered = Format.asprintf "%a" Explain.pp r in
+  let has needle =
+    let nl = String.length needle and hl = String.length rendered in
+    let rec go i =
+      i + nl <= hl && (String.sub rendered i nl = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "narrative gives the reason" true
+    (has "were dropped: c's equality partners already disagree")
+
 let test_explain_preserves_outcome () =
   let automaton = Automaton.of_pattern query_q1 in
   let direct = Engine.run_relation automaton figure_1 in
@@ -104,4 +130,5 @@ let suite =
     Alcotest.test_case "negation kills reported" `Quick test_kills_reported;
     Alcotest.test_case "emission lag" `Quick test_emission_lag;
     Alcotest.test_case "explain preserves outcome" `Quick test_explain_preserves_outcome;
+    Alcotest.test_case "pruned successors reported" `Quick test_pruned_reported;
   ]

@@ -128,6 +128,20 @@ let test_ablation_partition () =
       Alcotest.(check bool) "pooled peak tracked" true (int_of_string i3 > 0)
   | _ -> Alcotest.fail "expected three rows"
 
+let test_ablation_prune () =
+  let t = Experiments.ablation_prune cfg in
+  match t.Report.rows with
+  | [ [ "off"; raw_off; created_off; pruned_off; peak_off; _ ];
+      [ "on"; raw_on; created_on; pruned_on; peak_on; _ ] ] ->
+      let n = int_of_string in
+      Alcotest.(check string) "same raw matches" raw_off raw_on;
+      Alcotest.(check string) "nothing pruned when off" "0" pruned_off;
+      Alcotest.(check bool) "successors pruned when on" true (n pruned_on > 0);
+      Alcotest.(check bool) "fewer instances" true
+        (n created_on < n created_off);
+      Alcotest.(check bool) "peak not larger" true (n peak_on <= n peak_off)
+  | _ -> Alcotest.fail "expected an off and an on row"
+
 let test_csv_save () =
   let t = Report.make ~title:"x" ~headers:[ "a" ] [ [ "1" ] ] in
   let path = Filename.temp_file "ses_report" ".csv" in
@@ -157,5 +171,6 @@ let suite =
     Alcotest.test_case "experiment 2 smoke" `Slow test_exp2_smoke;
     Alcotest.test_case "experiment 3 smoke" `Slow test_exp3_smoke;
     Alcotest.test_case "partition ablation" `Slow test_ablation_partition;
+    Alcotest.test_case "pruning ablation" `Slow test_ablation_prune;
     Alcotest.test_case "report csv save" `Quick test_csv_save;
   ]

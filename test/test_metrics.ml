@@ -16,6 +16,7 @@ let a =
     transitions_fired = 20;
     instances_expired = 2;
     instances_killed = 1;
+    instances_pruned = 6;
     matches_emitted = 4;
   }
 
@@ -28,6 +29,7 @@ let b =
     transitions_fired = 8;
     instances_expired = 0;
     instances_killed = 3;
+    instances_pruned = 5;
     matches_emitted = 2;
   }
 
@@ -39,6 +41,7 @@ let test_merge_sums_and_max () =
   Alcotest.(check int) "transitions_fired sums" 28 m.Metrics.transitions_fired;
   Alcotest.(check int) "instances_expired sums" 2 m.Metrics.instances_expired;
   Alcotest.(check int) "instances_killed sums" 4 m.Metrics.instances_killed;
+  Alcotest.(check int) "instances_pruned sums" 11 m.Metrics.instances_pruned;
   Alcotest.(check int) "matches_emitted sums" 6 m.Metrics.matches_emitted;
   (* The one non-additive counter: pool peaks need not coincide in
      time, so the merge takes the max. *)
@@ -65,6 +68,7 @@ let test_merge_replicas () =
   Alcotest.(check int) "transitions_fired sums" 28 m.Metrics.transitions_fired;
   Alcotest.(check int) "instances_expired sums" 2 m.Metrics.instances_expired;
   Alcotest.(check int) "instances_killed sums" 4 m.Metrics.instances_killed;
+  Alcotest.(check int) "instances_pruned sums" 11 m.Metrics.instances_pruned;
   Alcotest.(check int) "matches_emitted sums" 6 m.Metrics.matches_emitted;
   Alcotest.(check int) "max_simultaneous_instances sums" 14
     m.Metrics.max_simultaneous_instances

@@ -70,7 +70,14 @@ let test_trace_is_complete () =
     List.length
       (List.filter (function Engine.Emitted _ -> true | _ -> false) steps)
   in
-  Alcotest.(check int) "three raw emissions" 3 emitted
+  Alcotest.(check int) "three raw emissions" 3 emitted;
+  let pruned =
+    List.length
+      (List.filter (function Engine.Pruned _ -> true | _ -> false) steps)
+  in
+  Alcotest.(check int) "one step per pruned successor"
+    outcome.Engine.metrics.Metrics.instances_pruned pruned;
+  Alcotest.(check bool) "some pruned" true (pruned > 0)
 
 let test_trace_outcome_matches_plain_run () =
   let plain = run query_q1 figure_1 in
