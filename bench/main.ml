@@ -24,9 +24,8 @@
    dominates it).
 
    Part 4 compares the state-indexed instance store against the flat
-   reference pool (high-population workload) and the hash-based
-   finalization against the quadratic reference (finalize-heavy
-   workload), writing the results to BENCH_instance_store.json.
+   reference pool (high-population workload), writing the results to
+   BENCH_instance_store.json.
 
    Part 5 measures domain-parallel execution: a 4-query set on 1 vs 4
    OCaml domains, writing the results to BENCH_parallel.json.
@@ -180,40 +179,13 @@ let stream_bench () =
     (String.concat ",\n" (List.map row strategies))
 
 (* Instance-store benchmark: the state-indexed pool vs the flat
-   reference list on a high-population workload (the case-3 overlapping
-   group pattern P3, where |Ω| grows superlinearly in the window), and
-   the hash-based finalization vs the quadratic reference on a
-   finalize-heavy raw candidate set. Results go to stdout and to
-   BENCH_instance_store.json. *)
+   reference list on a high-population workload. Results go to stdout
+   and to BENCH_instance_store.json. *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-(* The pre-optimization finalize: deduplicate by canonical form, then
-   apply subsumption one pair at a time with the exported primitives,
-   re-canonicalizing on every comparison — O(n² · m log m). *)
-let reference_finalize raw =
-  let candidates =
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun s ->
-        let c = Ses_core.Substitution.canonical s in
-        if Hashtbl.mem seen c then false
-        else begin
-          Hashtbl.add seen c ();
-          true
-        end)
-      raw
-  in
-  List.filter
-    (fun s ->
-      not
-        (List.exists
-           (fun s' -> Ses_core.Substitution.proper_subset s s')
-           candidates))
-    candidates
 
 let store_bench () =
   let module Q = Ses_harness.Queries in
@@ -251,23 +223,6 @@ let store_bench () =
     Printf.eprintf "warning: store mismatch: flat emitted %d, indexed %d\n"
       (List.length flat.Ses_core.Engine.raw)
       n_raw;
-  (* Finalize-heavy: the raw candidates of the case-3 overlapping group
-     pattern P3 on a small relation — thousands of mutually overlapping
-     group substitutions with heavy subsumption, the worst case for the
-     quadratic reference. *)
-  let fd = chemo (if quick then 2 else 3) in
-  let fin = engine_run ~store:Ses_core.Engine.Indexed
-      (Ses_core.Automaton.of_pattern Q.p3) fd
-  in
-  let raw = fin.Ses_core.Engine.raw in
-  let ref_survivors, ref_s = time (fun () -> reference_finalize raw) in
-  let new_survivors, new_s =
-    time (fun () -> Ses_core.Substitution.finalize Q.p3 raw)
-  in
-  if List.length ref_survivors <> List.length new_survivors then
-    Printf.eprintf "warning: finalize mismatch: reference %d, hash-based %d\n"
-      (List.length ref_survivors)
-      (List.length new_survivors);
   let json =
     Printf.sprintf
       "{\n\
@@ -275,18 +230,11 @@ let store_bench () =
       \    \"pattern\": \"q1\", \"events\": %d, \"raw_emissions\": %d,\n\
       \    \"max_instances\": %d,\n\
       \    \"flat_s\": %.6f, \"indexed_s\": %.6f, \"speedup\": %.2f\n\
-      \  },\n\
-      \  \"finalize_heavy\": {\n\
-      \    \"pattern\": \"p3\", \"candidates\": %d, \"matches\": %d,\n\
-      \    \"reference_s\": %.6f, \"hash_based_s\": %.6f, \"speedup\": %.2f\n\
       \  }\n\
        }"
       n_events n_raw
       idx.Ses_core.Engine.metrics.Ses_core.Metrics.max_simultaneous_instances
       flat_s idx_s (flat_s /. idx_s)
-      (List.length raw)
-      (List.length new_survivors)
-      ref_s new_s (ref_s /. new_s)
   in
   Printf.printf "Instance store vs flat pool (JSON)\n";
   Printf.printf "----------------------------------\n";

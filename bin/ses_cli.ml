@@ -274,25 +274,28 @@ let explain_arg =
           "Print the execution plan before the results, including the \
            chosen access path with estimated and actual candidate counts.")
 
+(* Lines end with [@\n], not [@.]: one flush at the end instead of one
+   write(2) per match. *)
 let print_match_results pattern ~raw ~matches ~metrics show_metrics show_raw
     table =
-  Format.printf "pattern: %a@." Ses_pattern.Pattern.pp pattern;
+  Format.printf "pattern: %a@\n" Ses_pattern.Pattern.pp pattern;
   if show_raw then begin
-    Format.printf "raw candidates: %d@." (List.length raw);
+    Format.printf "raw candidates: %d@\n" (List.length raw);
     List.iter
-      (fun s -> Format.printf "  %a@." (Ses_core.Substitution.pp pattern) s)
+      (fun s -> Format.printf "  %a@\n" (Ses_core.Substitution.pp pattern) s)
       raw
   end;
   if table then
-    Format.printf "%a@." Ses_harness.Report.pp
+    Format.printf "%a@\n" Ses_harness.Report.pp
       (Ses_harness.Match_table.of_matches pattern matches)
   else begin
-    Format.printf "matches: %d@." (List.length matches);
+    Format.printf "matches: %d@\n" (List.length matches);
     List.iter
-      (fun s -> Format.printf "  %a@." (Ses_core.Substitution.pp pattern) s)
+      (fun s -> Format.printf "  %a@\n" (Ses_core.Substitution.pp pattern) s)
       matches
   end;
-  if show_metrics then Format.printf "%a@." Ses_core.Metrics.pp metrics
+  if show_metrics then Format.printf "%a@\n" Ses_core.Metrics.pp metrics;
+  Format.print_flush ()
 
 (* Several -q patterns over one feed: the shared multi-query plan. *)
 let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw

@@ -342,6 +342,14 @@ let observe st obs =
 
 let substitution_of inst = List.rev inst.bindings
 
+(* Per-instance observations copy the bindings: build them only when an
+   observer is installed. *)
+let observe_expired st e ~accepting inst =
+  match st.observer with
+  | None -> ()
+  | Some f ->
+      f (Expired { event = e; accepting; buffer = substitution_of inst })
+
 let is_fresh inst = inst.bindings = []
 
 let expired tau inst e =
@@ -480,9 +488,11 @@ let consume st slot inst e ~on_succ =
               first_ts = (if is_fresh inst then Event.ts e else inst.first_ts);
             }
           in
-          observe st
-            (Took
-               { event = e; transition = tr; buffer = substitution_of successor });
+          (match st.observer with
+          | None -> ()
+          | Some f ->
+              let buffer = substitution_of successor in
+              f (Took { event = e; transition = tr; buffer }));
           on_succ pt successor
         end
       end)
@@ -502,14 +512,19 @@ let consume st slot inst e ~on_succ =
     in
     if killed then begin
       Metrics.on_killed st.m;
-      observe st
-        (Killed { event = e; state = inst.state; buffer = substitution_of inst });
+      (match st.observer with
+      | None -> ()
+      | Some f ->
+          let buffer = substitution_of inst in
+          f (Killed { event = e; state = inst.state; buffer }));
       false
     end
     else begin
-      observe st
-        (Ignored
-           { event = e; state = inst.state; buffer = substitution_of inst });
+      (match st.observer with
+      | None -> ()
+      | Some f ->
+          let buffer = substitution_of inst in
+          f (Ignored { event = e; state = inst.state; buffer }));
       true
     end
   end
@@ -552,8 +567,7 @@ let feed_flat st o e =
         let accepting =
           Varset.equal inst.state accept && minima_satisfied st inst
         in
-        observe st
-          (Expired { event = e; accepting; buffer = substitution_of inst });
+        observe_expired st e ~accepting inst;
         if accepting then completed := emit st inst :: !completed
       end
       else begin
@@ -608,8 +622,7 @@ let feed_indexed st store e =
           (fun inst ->
             Metrics.on_expired st.m;
             let accepting = slot.accepting && minima_satisfied st inst in
-            observe st
-              (Expired { event = e; accepting; buffer = substitution_of inst });
+            observe_expired st e ~accepting inst;
             if accepting then completed := emit st inst :: !completed)
           dead;
         let scan =
@@ -708,8 +721,7 @@ let feed_indexed_batch st store kept n_kept =
   let emit_expired e slot inst =
     Metrics.on_expired st.m;
     let accepting = slot.accepting && minima_satisfied st inst in
-    observe st
-      (Expired { event = e; accepting; buffer = substitution_of inst });
+    observe_expired st e ~accepting inst;
     if accepting then completed := emit st inst :: !completed
   in
   let stage_succ pt succ = Instance_store.stage_h pt.tgt_bucket succ in

@@ -153,26 +153,14 @@ let satisfies_1_3 p subst =
   well_formed p subst && satisfies_theta p subst && satisfies_order p subst
   && satisfies_window p subst
 
-let same_min_binding a b =
-  match min_binding a, min_binding b with
-  | Some (v, e), Some (v', e') -> v = v' && Event.equal e e'
-  | None, None -> true
-  | None, Some _ | Some _, None -> false
-
-let maximal_within ~candidates subst =
-  not
-    (List.exists
-       (fun cand -> same_min_binding subst cand && proper_subset subst cand)
-       candidates)
-
-(* Shared by [skip_till_next_within] and the finalize pipeline: for each
-   variable, the chronologically sorted timestamps (with sequence
-   numbers) of every event the candidate set binds to it. Built once per
-   candidate set, then each γ pair-check is a binary search over the
-   variable's array instead of a rescan of every candidate. *)
+(* Condition 4's index: for each variable, the chronologically sorted,
+   duplicate-free timestamps (with sequence numbers) of the events the
+   candidate set binds to it. Built once per candidate set, then each γ
+   pair-check is a binary search over the variable's array instead of a
+   rescan of every candidate. *)
 let bindings_by_var candidates =
   let table = Hashtbl.create 16 in
-  List.iter
+  Array.iter
     (List.iter (fun (v, e) ->
          let l = Option.value ~default:[] (Hashtbl.find_opt table v) in
          Hashtbl.replace table v ((Event.ts e, Event.seq e) :: l)))
@@ -180,9 +168,8 @@ let bindings_by_var candidates =
   let sorted = Hashtbl.create 16 in
   Hashtbl.iter
     (fun v l ->
-      let arr = Array.of_list l in
-      Array.sort compare_int_pair arr;
-      Hashtbl.replace sorted v arr)
+      Hashtbl.replace sorted v
+        (Array.of_list (List.sort_uniq compare_int_pair l)))
     table;
   sorted
 
@@ -213,133 +200,214 @@ let skip_till_pairs_ok ~by_var ~in_subst subst =
   in
   List.for_all (fun b -> List.for_all (fun b' -> pair_ok b b') subst) subst
 
-let skip_till_next_within ~candidates subst =
-  let cs = canonical subst in
-  let in_subst v seq = List.mem (v, seq) cs in
-  skip_till_pairs_ok ~by_var:(bindings_by_var candidates) ~in_subst subst
-
 type policy =
   | Operational
   | Literal
 
-(* Finalization works on an annotated view of each candidate — the
-   canonical form, its size and the minT binding are computed once per
-   substitution instead of once per comparison. *)
-type annotated = {
+(* Finalization annotates each raw candidate once: its canonical form
+   packed into a sorted, duplicate-free int array of keys
+   [var * base + seq], where [base] is one more than the largest sequence
+   number among the candidates (sequence numbers start at 0). Key order is
+   exactly [compare_canonical]'s (var, seq) order, so every set operation
+   below is a merge or a binary search over ints. *)
+type packed = {
   subst : t;
-  canon : (int * int) list;  (** sorted, duplicate-free *)
-  canon_size : int;
-  min_key : (int * int) option;  (** (var, seq) of the minT binding *)
+  keys : int array;
   min_t : Time.t option;
+  min_key : int;  (** packed minT binding; -1 for the empty substitution *)
 }
 
-let annotate s =
-  let canon = canonical s in
-  {
-    subst = s;
-    canon;
-    canon_size = List.length canon;
-    min_key =
-      Option.map (fun (v, e) -> (v, Event.seq e)) (min_binding s);
-    min_t = min_ts s;
-  }
-
-let dedup_annotated substs =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun s ->
-      let a = annotate s in
-      if Hashtbl.mem seen a.canon then None
-      else begin
-        Hashtbl.add seen a.canon ();
-        Some a
-      end)
-    substs
-
-(* Candidates indexed by every (var, seq) binding they contain. Any
-   strict superset of γ contains each of γ's bindings, so the posting
-   list of γ's rarest binding is a complete set of subsumption suspects —
-   in practice a tiny fraction of the candidate set. *)
-let posting_index annotated =
-  let index = Hashtbl.create 256 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun key ->
-          let l = Option.value ~default:[] (Hashtbl.find_opt index key) in
-          Hashtbl.replace index key (a :: l))
-        a.canon)
-    annotated;
-  index
-
-let rarest_posting index a =
-  let shorter l l' =
-    match (l, l') with
-    | None, x | x, None -> x
-    | Some l, Some l' ->
-        Some (if List.length l <= List.length l' then l else l')
+let pack ~base subst =
+  let keys =
+    Array.of_list
+      (List.sort_uniq Int.compare
+         (List.map (fun (v, e) -> (v * base) + Event.seq e) subst))
   in
-  List.fold_left
-    (fun best key -> shorter best (Hashtbl.find_opt index key))
-    None a.canon
+  match min_binding subst with
+  | None -> { subst; keys; min_t = None; min_key = -1 }
+  | Some (v, e) ->
+      {
+        subst;
+        keys;
+        min_t = Some (Event.ts e);
+        min_key = (v * base) + Event.seq e;
+      }
 
-let subsumed candidates index a =
-  if a.canon_size = 0 then
-    (* The empty substitution is a strict subset of any non-empty one. *)
-    List.exists (fun b -> b.canon_size > 0) candidates
-  else
-    match rarest_posting index a with
-    | None -> false
-    | Some suspects ->
-        List.exists
-          (fun b -> b.canon_size > a.canon_size && subset_canon a.canon b.canon)
-          suspects
+(* Lexicographic, a proper prefix first: [compare_canonical] on the
+   unpacked forms. *)
+let compare_keys a b =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i =
+    if i = na || i = nb then Int.compare na nb
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+let subset_keys a b =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i j =
+    i = na
+    || (nb - j >= na - i
+       &&
+       let x = a.(i) and y = b.(j) in
+       if x = y then go (i + 1) (j + 1) else x > y && go i (j + 1))
+  in
+  go 0 0
+
+let mem_keys a k =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let c = Int.compare a.(mid) k in
+    c = 0 || if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+(* Deduplication hashes every key of the packed form. *)
+module Packed_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = compare_keys a b = 0
+
+  let hash a = Array.fold_left (fun h k -> (h * 31) + k) 0 a
+end)
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* One counted posting array per distinct key: the ids of the candidates
+   holding it, ascending. *)
+type posting = { mutable len : int; mutable ids : int array }
+
+let survivors keep cands =
+  let out = ref [] in
+  Array.iteri (fun i a -> if keep i then out := a :: !out) cands;
+  !out
+
+(* Operational: γ is dropped when another candidate strictly contains it.
+   Every strict superset of γ holds each of γ's keys, so the posting of
+   γ's rarest key — a minimum over |γ| stored lengths — is a complete
+   suspect set. Candidates are numbered by ascending size, so the strict
+   supersets sit in the posting's tail: the scan walks it backwards and
+   stops at the first candidate no larger than γ, and each suspect costs
+   one merge. *)
+let operational_survivors cands =
+  let size a = Array.length a.keys in
+  Array.sort (fun a b -> Int.compare (size a) (size b)) cands;
+  let index = Int_tbl.create (Array.length cands) in
+  let postings =
+    Array.map
+      (fun a ->
+        Array.map
+          (fun k ->
+            match Int_tbl.find_opt index k with
+            | Some p ->
+                p.len <- p.len + 1;
+                p
+            | None ->
+                let p = { len = 1; ids = [||] } in
+                Int_tbl.add index k p;
+                p)
+          a.keys)
+      cands
+  in
+  Int_tbl.iter
+    (fun _ p ->
+      p.ids <- Array.make p.len 0;
+      p.len <- 0)
+    index;
+  Array.iteri
+    (fun i ps ->
+      Array.iter
+        (fun p ->
+          p.ids.(p.len) <- i;
+          p.len <- p.len + 1)
+        ps)
+    postings;
+  let largest = size cands.(Array.length cands - 1) in
+  survivors
+    (fun i ->
+      let a = cands.(i) in
+      let n = size a in
+      (* The empty substitution is a strict subset of any non-empty one. *)
+      if n = 0 then largest = 0
+      else
+        let ps = postings.(i) in
+        let rarest =
+          Array.fold_left (fun r p -> if p.len < r.len then p else r) ps.(0) ps
+        in
+        let rec superset k =
+          k >= 0
+          &&
+          let b = cands.(rarest.ids.(k)) in
+          size b > n && (subset_keys a.keys b.keys || superset (k - 1))
+        in
+        not (superset (rarest.len - 1)))
+    cands
+
+(* Literal: condition 5 compares only candidates sharing a minT binding,
+   grouped by its packed key; condition 4's membership test is a binary
+   search in γ's packed form. *)
+let literal_survivors ~base cands =
+  let groups = Int_tbl.create (Array.length cands) in
+  Array.iteri
+    (fun i a ->
+      let l = Option.value ~default:[] (Int_tbl.find_opt groups a.min_key) in
+      Int_tbl.replace groups a.min_key (i :: l))
+    cands;
+  let by_var = bindings_by_var (Array.map (fun a -> a.subst) cands) in
+  survivors
+    (fun i ->
+      let a = cands.(i) in
+      let n = Array.length a.keys in
+      List.for_all
+        (fun j ->
+          let b = cands.(j).keys in
+          Array.length b <= n || not (subset_keys a.keys b))
+        (Int_tbl.find groups a.min_key)
+      && skip_till_pairs_ok ~by_var
+           ~in_subst:(fun v seq -> mem_keys a.keys ((v * base) + seq))
+           a.subst)
+    cands
 
 let finalize ?(policy = Operational) p substs =
   ignore p;
-  let candidates = dedup_annotated substs in
-  let survivors =
-    match policy with
-    | Operational ->
-        let index = posting_index candidates in
-        List.filter (fun a -> not (subsumed candidates index a)) candidates
-    | Literal ->
-        (* Condition 5 compares only substitutions sharing a minT
-           binding: group by it and look for strict supersets inside the
-           group. Condition 4's pair check runs against the per-variable
-           binding index. *)
-        let groups = Hashtbl.create 64 in
-        List.iter
-          (fun a ->
-            let l =
-              Option.value ~default:[] (Hashtbl.find_opt groups a.min_key)
-            in
-            Hashtbl.replace groups a.min_key (a :: l))
-          candidates;
-        let maximal a =
-          List.for_all
-            (fun b ->
-              b.canon_size <= a.canon_size
-              || not (subset_canon a.canon b.canon))
-            (Option.value ~default:[] (Hashtbl.find_opt groups a.min_key))
-        in
-        let by_var = bindings_by_var (List.map (fun a -> a.subst) candidates) in
-        let skip_ok a =
-          let members = Hashtbl.create 16 in
-          List.iter (fun key -> Hashtbl.replace members key ()) a.canon;
-          skip_till_pairs_ok ~by_var
-            ~in_subst:(fun v seq -> Hashtbl.mem members (v, seq))
-            a.subst
-        in
-        List.filter (fun a -> maximal a && skip_ok a) candidates
-  in
-  List.map
-    (fun a -> a.subst)
-    (List.sort
-       (fun a b ->
-         let c = Option.compare Time.compare a.min_t b.min_t in
-         if c <> 0 then c else compare_canonical a.canon b.canon)
-       survivors)
+  match substs with
+  | [] -> []
+  | _ ->
+      let base =
+        1
+        + List.fold_left
+            (List.fold_left (fun m (_, e) -> Int.max m (Event.seq e)))
+            0 substs
+      in
+      let seen = Packed_tbl.create (List.length substs) in
+      let cands =
+        Array.of_list
+          (List.filter_map
+             (fun s ->
+               let a = pack ~base s in
+               if Packed_tbl.mem seen a.keys then None
+               else begin
+                 Packed_tbl.add seen a.keys ();
+                 Some a
+               end)
+             substs)
+      in
+      let kept =
+        match policy with
+        | Operational -> operational_survivors cands
+        | Literal -> literal_survivors ~base cands
+      in
+      List.map
+        (fun a -> a.subst)
+        (List.sort
+           (fun a b ->
+             let c = Option.compare Time.compare a.min_t b.min_t in
+             if c <> 0 then c else compare_keys a.keys b.keys)
+           kept)
 
 let pp p ppf subst =
   let items =

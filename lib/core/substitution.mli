@@ -21,9 +21,9 @@ type t = binding list
 
 val canonical : t -> (int * int) list
 (** Sorted (variable id, event sequence number) pairs — the set identity of
-    a substitution. {!finalize} computes this once per candidate (and keeps
-    it alongside the substitution for the whole pass) rather than once per
-    comparison; callers holding many substitutions should do the same. *)
+    a substitution. {!finalize} computes an equivalent packed form once per
+    candidate rather than once per comparison; callers holding many
+    substitutions should likewise compute this once each. *)
 
 val compare_canonical : (int * int) list -> (int * int) list -> int
 (** Lexicographic order over canonical forms (pairs compared by variable
@@ -89,15 +89,6 @@ val satisfies_negations : Pattern.t -> Event.t array -> t -> bool
 
 (** {1 Definition 2, conditions 4–5 over a candidate set} *)
 
-val maximal_within : candidates:t list -> t -> bool
-(** Condition 5 relative to [candidates]: no candidate with the same
-    minT-binding strictly contains the substitution. *)
-
-val skip_till_next_within : candidates:t list -> t -> bool
-(** Condition 4 relative to [candidates]: there is no pair v/e, v'/e' in γ
-    and candidate γ' with v'/e'' ∈ γ' such that e.T < e''.T < e'.T and
-    v'/e'' ∉ γ. *)
-
 (** How conditions 4–5 are applied to the raw emissions.
 
     [Literal] transcribes Definition 2 exactly (condition 4 with Γ
@@ -122,14 +113,23 @@ type policy =
 val finalize : ?policy:policy -> Pattern.t -> t list -> t list
 (** Deduplicates (by {!canonical}) and applies the chosen policy relative
     to the deduplicated candidate set. The result is sorted by
-    (minT, canonical) for deterministic output.
+    (minT, canonical) for deterministic output; when raw candidates share a
+    canonical form, the first one in the input is returned.
 
-    Each candidate's canonical form and minT binding are computed once.
-    [Operational] subsumption consults a hash index from bindings to the
-    candidates containing them (every strict superset of γ must contain
-    γ's rarest binding), and [Literal] maximality compares only within
-    groups sharing a minT binding — near-linear in practice instead of
-    all-pairs with per-comparison re-sorting. *)
+    Each raw candidate is annotated once: its canonical form packed into a
+    sorted, duplicate-free [int array] of keys [var * base + seq] ([base]
+    is one more than the largest sequence number among the candidates, so
+    the array order is {!compare_canonical}'s), and its minT binding packed
+    the same way. Deduplication hashes the whole packed array.
+    [Operational] subsumption keeps, for every binding, a counted posting
+    array of the candidates holding it: every strict superset of γ holds
+    γ's rarest binding, found as a minimum over |γ| stored lengths.
+    Candidates are numbered by ascending size, so only the posting's tail
+    of larger candidates is scanned, at one merge of two int arrays per
+    suspect.
+    [Literal] maximality compares only within groups sharing a packed minT
+    binding, and its skip-till-next check tests membership by binary
+    search in the packed array. The empty input returns [[]] at once. *)
 
 val pp : Pattern.t -> Format.formatter -> t -> unit
 (** Prints like the paper, e.g. [{c/e1, d/e3, p+/e4, p+/e9, b/e12}]. *)

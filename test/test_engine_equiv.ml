@@ -2,9 +2,8 @@
    must be observationally identical to the flat reference pool — same
    raw emissions, same finalized matches, same metrics — across the
    option grid (constant pre-check on/off, both finalize policies). The
-   hash-based finalize pipeline is likewise checked against a direct
-   transcription of Definition 2's conditions 4-5 built from the
-   exported primitives. *)
+   packed finalize pipeline is likewise checked against a direct
+   transcription of Definition 2's conditions 4-5. *)
 
 open Ses_core
 open Ses_gen
@@ -80,60 +79,162 @@ let stores_agree_on_metrics =
               flat.Engine.metrics = idx.Engine.metrics)
             grid))
 
-(* Direct transcription of finalize: dedup by canonical form, apply the
-   policy with the exported one-pair-at-a-time primitives, sort. This is
-   the O(n²·m log m) algorithm the hash-based pipeline replaced. *)
+(* Direct transcription of finalize: dedup by canonical form, apply
+   Definition 2's conditions 4-5 pair by pair, sort. Each candidate's
+   canonical form and minT binding are computed once, so the quadratic
+   pass stays well under a second on the case-3 input below. *)
 let reference_finalize policy substs =
+  let seen = Hashtbl.create 64 in
   let candidates =
-    let seen = Hashtbl.create 64 in
-    List.filter
+    List.filter_map
       (fun s ->
         let c = Substitution.canonical s in
-        if Hashtbl.mem seen c then false
+        if Hashtbl.mem seen c then None
         else begin
           Hashtbl.add seen c ();
-          true
+          let min_key =
+            Option.map
+              (fun (v, e) -> (v, Ses_event.Event.seq e))
+              (Substitution.min_binding s)
+          in
+          Some (s, c, min_key)
         end)
       substs
+  in
+  let proper_subset c c' =
+    List.length c < List.length c' && List.for_all (fun x -> List.mem x c') c
   in
   let keep =
     match policy with
     | Substitution.Operational ->
-        fun s ->
-          not
-            (List.exists
-               (fun s' -> Substitution.proper_subset s s')
-               candidates)
+        fun (_, c, _) ->
+          not (List.exists (fun (_, c', _) -> proper_subset c c') candidates)
     | Substitution.Literal ->
-        fun s ->
-          Substitution.maximal_within ~candidates s
-          && Substitution.skip_till_next_within ~candidates s
+        (* Condition 4 asks only which (variable, event) bindings some
+           candidate holds: list each one once. *)
+        let held = Hashtbl.create 64 in
+        List.iter
+          (fun (s, _, _) ->
+            List.iter
+              (fun (v, e) ->
+                Hashtbl.replace held
+                  (v, Ses_event.Event.seq e)
+                  (Ses_event.Event.ts e))
+              s)
+          candidates;
+        let held =
+          Hashtbl.fold (fun (v, seq) ts acc -> (v, ts, seq) :: acc) held []
+        in
+        fun (s, c, min_key) ->
+          (* Condition 5: no candidate with the same minT binding strictly
+             contains γ. *)
+          (not
+             (List.exists
+                (fun (_, c', min_key') ->
+                  Option.equal
+                    (fun (v, q) (v', q') -> v = v' && q = q')
+                    min_key min_key'
+                  && proper_subset c c')
+                candidates))
+          (* Condition 4: no pair v/e, v'/e' of γ with a held binding
+             v'/e'' such that e.T < e''.T < e'.T and v'/e'' ∉ γ. *)
+          && List.for_all
+               (fun (_, e) ->
+                 List.for_all
+                   (fun (v', e') ->
+                     List.for_all
+                       (fun (v'', ts, seq) ->
+                         v'' <> v'
+                         || (not
+                               (Ses_event.Time.( <. ) (Ses_event.Event.ts e) ts
+                               && Ses_event.Time.( <. ) ts
+                                    (Ses_event.Event.ts e')))
+                         || List.mem (v', seq) c)
+                       held)
+                   s)
+               s
   in
-  List.sort
-    (fun a b ->
-      let c =
-        Option.compare Ses_event.Time.compare (Substitution.min_ts a)
-          (Substitution.min_ts b)
-      in
-      if c <> 0 then c
-      else
-        Substitution.compare_canonical (Substitution.canonical a)
-          (Substitution.canonical b))
-    (List.filter keep candidates)
+  List.map
+    (fun (s, _, _) -> s)
+    (List.sort
+       (fun (a, ca, _) (b, cb, _) ->
+         let c =
+           Option.compare Ses_event.Time.compare (Substitution.min_ts a)
+             (Substitution.min_ts b)
+         in
+         if c <> 0 then c else Substitution.compare_canonical ca cb)
+       (List.filter keep candidates))
+
+let policies = [ Substitution.Operational; Substitution.Literal ]
+
+let agrees_with_reference pat raw =
+  List.for_all
+    (fun policy ->
+      List.map Substitution.canonical (Substitution.finalize ~policy pat raw)
+      = List.map Substitution.canonical (reference_finalize policy raw))
+    policies
 
 let finalize_matches_reference =
   QCheck.Test.make ~count:120 ~name:"finalize = reference finalize"
     QCheck.(int_bound 100_000)
     (fun seed ->
       with_workload seed (fun pat r ->
-          let automaton = Automaton.of_pattern pat in
-          let raw = (Engine.run_relation automaton r).Engine.raw in
-          List.for_all
-            (fun policy ->
-              List.map Substitution.canonical
-                (Substitution.finalize ~policy pat raw)
-              = List.map Substitution.canonical (reference_finalize policy raw))
-            [ Substitution.Operational; Substitution.Literal ]))
+          let raw =
+            (Engine.run_relation (Automaton.of_pattern pat) r).Engine.raw
+          in
+          agrees_with_reference pat raw))
+
+(* Raw emissions arrive in one order, each substitution's bindings in
+   chronological order, and without the empty substitution. Finalize must
+   not depend on any of that: shuffle the list, repeat some candidates
+   (half of the repeats with their bindings reversed), and add the empty
+   substitution. *)
+let finalize_ignores_input_order =
+  QCheck.Test.make ~count:120 ~name:"finalize ignores input order and shape"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      with_workload seed (fun pat r ->
+          let rng = Prng.create (Int64.of_int (seed + 1)) in
+          let raw =
+            (Engine.run_relation (Automaton.of_pattern pat) r).Engine.raw
+          in
+          let repeats =
+            List.filter_map
+              (fun s ->
+                if Prng.chance rng 0.3 then
+                  Some (if Prng.bool rng then List.rev s else s)
+                else None)
+              raw
+          in
+          agrees_with_reference pat
+            (Prng.shuffle rng (([] :: raw) @ repeats))))
+
+(* The case-3 overlapping group pattern P3 builds long posting lists:
+   every candidate holding a binding lies within τ of that event, and at
+   seed 7 two patients give 1,312 raw candidates for 376 matches. *)
+let finalize_case3_matches_reference () =
+  let r =
+    Chemo.generate { Chemo.default with Chemo.seed = 7L; patients = 2 }
+  in
+  let pat = Ses_harness.Queries.p3 in
+  let options = { Engine.default_options with Engine.finalize = false } in
+  let raw =
+    (Engine.run_relation ~options (Automaton.of_pattern pat) r).Engine.raw
+  in
+  Alcotest.(check int) "raw candidates" 1312 (List.length raw);
+  List.iter
+    (fun policy ->
+      let got = Substitution.finalize ~policy pat raw in
+      let want = reference_finalize policy raw in
+      Alcotest.(check int) "match count" (List.length want) (List.length got);
+      List.iter2
+        (fun g w ->
+          Alcotest.(check (list (pair int int)))
+            "match" (Substitution.canonical w) (Substitution.canonical g))
+        got want)
+    policies;
+  Alcotest.(check int) "operational matches" 376
+    (List.length (Substitution.finalize pat raw))
 
 (* The O(1) population counter of the indexed store never drifts from
    the actual pool: after every event the counter equals the length of
@@ -159,5 +260,10 @@ let suite =
       stores_agree_on_output;
       stores_agree_on_metrics;
       finalize_matches_reference;
+      finalize_ignores_input_order;
       population_counter_consistent;
+    ]
+  @ [
+      Alcotest.test_case "case 3 finalize = reference" `Quick
+        finalize_case3_matches_reference;
     ]

@@ -137,6 +137,14 @@ let test_finalize_sorted () =
   Alcotest.(check (option int)) "earliest first" (Some 0)
     (Substitution.min_ts (List.hd out))
 
+(* Finalize packs a binding as var * base + seq, with base one past the
+   largest sequence number: variable v holding the last event and v + 1
+   holding the first must stay two distinct candidates. *)
+let test_finalize_key_boundary () =
+  let last = [ (a, ev 3 "a" 5) ] and first = [ (a + 1, ev 0 "g" 0) ] in
+  Alcotest.(check int) "both kept" 2
+    (List.length (Substitution.finalize p [ last; first ]))
+
 let test_pp () =
   Alcotest.(check string) "rendering" "{a/e1, g+/e2, g+/e3, z/e4}"
     (Format.asprintf "%a" (Substitution.pp p) full)
@@ -155,5 +163,7 @@ let suite =
     Alcotest.test_case "finalize: literal minT restriction" `Quick
       test_finalize_literal_minT_restriction;
     Alcotest.test_case "finalize: deterministic order" `Quick test_finalize_sorted;
+    Alcotest.test_case "finalize: packed key boundary" `Quick
+      test_finalize_key_boundary;
     Alcotest.test_case "pp" `Quick test_pp;
   ]
