@@ -196,16 +196,6 @@ let strategy_arg =
           "Execution strategy: auto (planner-selected), plain, partitioned, \
            naive or brute-force.")
 
-let stream_arg =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Stream events straight from the CSV file through the executor \
-           (O(1) memory) instead of materializing the relation; the Sec. \
-           4.5 constant-condition filter is pushed into the scan when the \
-           pattern supports it.")
-
 let telemetry_arg =
   Arg.(
     value
@@ -242,37 +232,13 @@ let batch_arg =
            identical at every batch size; N=1 recovers per-event \
            delivery.")
 
-let access_conv =
-  Arg.conv
-    ( (fun s ->
-        match Ses_core.Planner.access_mode_of_string s with
-        | Ok m -> Ok m
-        | Error msg -> Error (`Msg msg)),
-      fun ppf m ->
-        Format.pp_print_string ppf (Ses_core.Planner.access_mode_name m) )
-
-let access_arg =
-  Arg.(
-    value
-    & opt access_conv `Auto
-    & info [ "access" ] ~docv:"PATH"
-        ~doc:
-          "Access path over the stored relation: auto (cost-based choice \
-           between a full scan and index probes, the default), scan (force \
-           the full scan) or index (force the index path whenever it is \
-           sound). The index path probes per-attribute secondary indexes \
-           with each variable's constant conditions, unions the candidate \
-           sets, clips them to the pattern window and feeds the sparse \
-           stream through the ordinary executor; matches are identical \
-           either way.")
-
 let explain_arg =
   Arg.(
     value & flag
     & info [ "explain" ]
         ~doc:
           "Print the execution plan before the results, including the \
-           chosen access path with estimated and actual candidate counts.")
+           filter pushed into the scan of the file (a single query only).")
 
 (* Lines end with [@\n], not [@.]: one flush at the end instead of one
    write(2) per match. *)
@@ -297,28 +263,38 @@ let print_match_results pattern ~raw ~matches ~metrics show_metrics show_raw
   if show_metrics then Format.printf "%a@\n" Ses_core.Metrics.pp metrics;
   Format.print_flush ()
 
-(* Several -q patterns over one feed: the shared multi-query plan. *)
+(* Several -q patterns over one scan of the file: the shared multi-query
+   plan, fed chunks of [batch_size] rows with no filter pushed down. *)
 let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
     table =
-  let relation = load_relation data in
-  let schema = Ses_event.Relation.schema relation in
-  let named =
-    List.mapi
-      (fun i text ->
-        let pattern = or_die (Ses_lang.Lang.parse_pattern schema text) in
-        ( Printf.sprintf "q%d" (i + 1),
-          pattern,
-          Ses_core.Automaton.of_pattern pattern ))
-      queries
+  let t, named =
+    or_die
+      (Ses_store.Csv_stream.with_source data (fun src ->
+         let schema = Ses_store.Csv_stream.source_schema src in
+         let named =
+           List.mapi
+             (fun i text ->
+               let pattern = or_die (Ses_lang.Lang.parse_pattern schema text) in
+               ( Printf.sprintf "q%d" (i + 1),
+                 pattern,
+                 Ses_core.Automaton.of_pattern pattern ))
+             queries
+         in
+         let t =
+           Ses_core.Multi.create_mixed ~options
+             (List.map (fun (n, _, a) -> (n, a, strategy)) named)
+         in
+         let chunk = options.Ses_core.Engine.batch_size in
+         let rec feed () =
+           match Ses_store.Csv_stream.next_batch src chunk with
+           | Error _ as e -> e
+           | Ok [||] -> Ok ()
+           | Ok es ->
+               ignore (Ses_core.Multi.feed_batch t es);
+               feed ()
+         in
+         Result.map (fun () -> (t, named)) (feed ())))
   in
-  let t =
-    Ses_core.Multi.create_mixed ~options
-      (List.map (fun (n, _, a) -> (n, a, strategy)) named)
-  in
-  Ses_core.Executor.iter_chunks
-    ~batch_size:options.Ses_core.Engine.batch_size
-    (fun chunk -> ignore (Ses_core.Multi.feed_batch t chunk))
-    (Ses_event.Relation.to_seq relation);
   ignore (Ses_core.Multi.close t);
   let outcomes = Ses_core.Multi.outcomes t in
   List.iter
@@ -338,8 +314,44 @@ let run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
           s.Ses_core.Shared_plan.st_index_hit_rate)
       (Ses_core.Multi.shared_stats t)
 
-let run_match data queries query_file strategy stream domains batch access
-    explain filter policy store telemetry show_metrics show_raw table =
+(* One query: a single streamed scan with the strong filter pushed into
+   it. *)
+let run_single_match ~options ~strategy ~query ~query_file ~data explain
+    show_metrics show_raw table =
+  let parsed = ref None in
+  let outcome =
+    or_die
+      (Ses_harness.Stream_runner.run ~options ~strategy
+         ~query:(fun schema ->
+           let pattern = load_pattern schema query query_file in
+           let automaton = Ses_core.Automaton.of_pattern pattern in
+           parsed := Some (pattern, automaton);
+           Ok automaton)
+         data)
+  in
+  let pattern, automaton = Option.get !parsed in
+  let pushed =
+    match outcome.Ses_harness.Stream_runner.pushed with
+    | None -> "none"
+    | Some p -> Format.asprintf "%a" Ses_store.Selection.pp p
+  in
+  if explain then
+    Format.printf "%s"
+      (Ses_core.Planner.describe ~pushed (Ses_core.Planner.plan automaton));
+  print_match_results pattern ~raw:outcome.Ses_harness.Stream_runner.raw
+    ~matches:outcome.Ses_harness.Stream_runner.matches
+    ~metrics:outcome.Ses_harness.Stream_runner.metrics show_metrics show_raw
+    table;
+  if show_metrics then begin
+    Format.printf "executor: %s@." outcome.Ses_harness.Stream_runner.executor;
+    Format.printf "events scanned: %d, delivered: %d@."
+      outcome.Ses_harness.Stream_runner.events_scanned
+      outcome.Ses_harness.Stream_runner.events_delivered;
+    Format.printf "pushed filter: %s@." pushed
+  end
+
+let run_match data queries query_file strategy domains batch explain filter
+    policy store telemetry show_metrics show_raw table =
   Ses_baseline.Brute_force.register ();
   Ses_analysis.Analyzer.register ();
   if domains < 1 then begin
@@ -350,95 +362,32 @@ let run_match data queries query_file strategy stream domains batch access
     prerr_endline "error: --batch must be at least 1";
     exit 1
   end;
-  if access <> `Auto && (stream || List.length queries > 1) then begin
-    prerr_endline
-      "error: --access applies to a single non-streaming query (the \
-       streaming and multi-query paths always scan)";
-    exit 1
-  end;
-  let query = match queries with [ q ] -> Some q | _ -> None in
   let recorder =
     Option.map (fun _ -> Ses_core.Telemetry.create ()) telemetry
   in
   let run_match_body () =
-  let options =
-    {
-      Ses_core.Engine.default_options with
-      Ses_core.Engine.filter;
-      policy;
-      store;
-      domains;
-      batch_size = batch;
-      telemetry = recorder;
-    }
-  in
-  if List.length queries > 1 then begin
-    if query_file <> None then begin
-      prerr_endline "error: pass either --query or --query-file, not both";
-      exit 1
-    end;
-    if stream then begin
-      prerr_endline "error: --stream supports a single query";
-      exit 1
-    end;
-    run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
-      table
-  end
-  else if stream then begin
-    let parsed = ref None in
-    let outcome =
-      or_die
-        (Ses_harness.Stream_runner.run ~options ~strategy
-           ~query:(fun schema ->
-             let pattern = load_pattern schema query query_file in
-             parsed := Some pattern;
-             Ok (Ses_core.Automaton.of_pattern pattern))
-           data)
+    let options =
+      {
+        Ses_core.Engine.default_options with
+        Ses_core.Engine.filter;
+        policy;
+        store;
+        domains;
+        batch_size = batch;
+        telemetry = recorder;
+      }
     in
-    let pattern = Option.get !parsed in
-    print_match_results pattern ~raw:outcome.Ses_harness.Stream_runner.raw
-      ~matches:outcome.Ses_harness.Stream_runner.matches
-      ~metrics:outcome.Ses_harness.Stream_runner.metrics show_metrics show_raw
-      table;
-    if show_metrics then begin
-      Format.printf "executor: %s@." outcome.Ses_harness.Stream_runner.executor;
-      Format.printf "events scanned: %d, delivered: %d@."
-        outcome.Ses_harness.Stream_runner.events_scanned
-        outcome.Ses_harness.Stream_runner.events_delivered;
-      match outcome.Ses_harness.Stream_runner.pushed with
-      | None -> Format.printf "pushed filter: none@."
-      | Some p ->
-          Format.printf "pushed filter: %a@." Ses_store.Selection.pp p
-    end
-  end
-  else begin
-    let relation = load_relation data in
-    let schema = Ses_event.Relation.schema relation in
-    let pattern = load_pattern schema query query_file in
-    let automaton = Ses_core.Automaton.of_pattern pattern in
-    let prepared = Ses_harness.Access_exec.prepare relation in
-    let outcome =
-      Ses_harness.Access_exec.run ~options ~strategy ~mode:access prepared
-        automaton
-    in
-    if explain then
-      Format.printf "%s"
-        (Ses_core.Planner.describe
-           ~access:outcome.Ses_harness.Access_exec.access
-           (Ses_core.Planner.plan automaton));
-    print_match_results pattern ~raw:outcome.Ses_harness.Access_exec.raw
-      ~matches:outcome.Ses_harness.Access_exec.matches
-      ~metrics:outcome.Ses_harness.Access_exec.metrics show_metrics show_raw
-      table;
-    if show_metrics then begin
-      Format.printf "executor: %s@."
-        outcome.Ses_harness.Access_exec.executor;
-      Format.printf "%s@."
-        (Ses_core.Planner.describe_access
-           ~actual:outcome.Ses_harness.Access_exec.candidates
-           outcome.Ses_harness.Access_exec.access)
-    end
-  end
+    match queries with
+    | _ :: _ :: _ ->
+        if query_file <> None then begin
+          prerr_endline "error: pass either --query or --query-file, not both";
+          exit 1
+        end;
+        run_multi_match ~options ~strategy ~queries ~data show_metrics show_raw
+          table
+    | [] | [ _ ] ->
+        run_single_match ~options ~strategy ~query:(List.nth_opt queries 0)
+          ~query_file ~data explain show_metrics show_raw table
   in
   (try run_match_body ()
    with Ses_core.Naive.Too_large n ->
@@ -480,8 +429,7 @@ let match_cmd =
     (Cmd.info "match" ~doc:"Run one or more SES patterns over a stored relation")
     Term.(
       const run_match $ data_arg $ match_queries_arg $ query_file_arg
-      $ strategy_arg
-      $ stream_arg $ domains_arg $ batch_arg $ access_arg $ explain_arg
+      $ strategy_arg $ domains_arg $ batch_arg $ explain_arg
       $ filter_arg $ policy_arg
       $ store_arg $ telemetry_arg $ show_metrics_arg $ show_raw_arg
       $ table_arg)

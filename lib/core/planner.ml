@@ -78,21 +78,6 @@ type access =
 
 type access_mode = [ `Auto | `Scan | `Index ]
 
-let access_mode_of_string s =
-  match String.lowercase_ascii s with
-  | "auto" -> Ok `Auto
-  | "scan" -> Ok `Scan
-  | "index" -> Ok `Index
-  | other ->
-      Error
-        (Printf.sprintf "unknown access mode %S (expected auto, scan or index)"
-           other)
-
-let access_mode_name = function
-  | `Auto -> "auto"
-  | `Scan -> "scan"
-  | `Index -> "index"
-
 (* The analyzer's narrowing of a variable's field, when registered. *)
 let analysis_domain plan v field =
   match plan.analysis with
@@ -321,7 +306,7 @@ let run ?options automaton events =
 let run_relation ?options automaton relation =
   run ?options automaton (Ses_event.Relation.to_seq relation)
 
-let describe_access ?actual access =
+let describe_access access =
   let buf = Buffer.create 128 in
   (match access with
   | Scan reason ->
@@ -347,19 +332,17 @@ let describe_access ?actual access =
                (if pr.probe_estimate = 1 then "" else "s")
                (if pr.probe_required then "" else " (guard only)")))
         probes);
-  (match actual with
-  | Some n ->
-      Buffer.add_string buf
-        (Printf.sprintf "  actual candidates after residual + tau clip: %d\n" n)
-  | None -> ());
   Buffer.contents buf
 
-let describe ?access plan =
+let describe ?access ?pushed plan =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Format.asprintf "event filter: %a\n" Event_filter.pp_mode plan.filter);
   (match access with
   | Some a -> Buffer.add_string buf (describe_access a)
+  | None -> ());
+  (match pushed with
+  | Some p -> Buffer.add_string buf (Printf.sprintf "pushed filter: %s\n" p)
   | None -> ());
   (match plan.partition with
   | Some _ -> Buffer.add_string buf "partitioning: per key value\n"

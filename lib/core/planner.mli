@@ -108,10 +108,6 @@ type access =
 
 type access_mode = [ `Auto | `Scan | `Index ]
 
-val access_mode_of_string : string -> (access_mode, string) result
-
-val access_mode_name : access_mode -> string
-
 val choose_access :
   ?mode:access_mode -> stats:Ses_event.Stats.t -> t -> Automaton.t -> access
 (** The cost-based decision (default mode [`Auto]). Indexing requires
@@ -123,11 +119,6 @@ val choose_access :
     summed estimate clears a 2× selectivity margin over the row count.
     [`Index] forces the index path whenever it is sound; [`Scan] always
     scans. *)
-
-val describe_access : ?actual:int -> access -> string
-(** Human-readable access-path lines ("access path: …"), with the
-    measured candidate count when [?actual] is given — estimated vs
-    actual is how a misleading histogram shows up. *)
 
 val routing_clauses :
   t ->
@@ -200,6 +191,7 @@ val run : ?options:Engine.options -> Automaton.t -> Ses_event.Event.t Seq.t -> E
 val run_relation :
   ?options:Engine.options -> Automaton.t -> Ses_event.Relation.t -> Engine.outcome
 
-val describe : ?access:access -> t -> string
+val describe : ?access:access -> ?pushed:string -> t -> string
 (** Multi-line human-readable summary; [?access] adds the chosen access
-    path (via {!describe_access}). *)
+    path ("access path: …" lines), [?pushed] a [pushed filter: …] line
+    in its place for a scan with that predicate pushed into it. *)

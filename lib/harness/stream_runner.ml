@@ -33,9 +33,9 @@ let selection_of_pattern ?extra p =
    atom actually evaluated bumps [csv.select.<field>.tested] and, when
    it holds, [csv.select.<field>.passed]. Counts accumulate in plain
    per-field cells on the hot path and drain into the shared counters
-   through the returned flush — called once per delivered chunk — so an
-   instrumented scan pays two int stores per atom, not a counter update.
-   Handles are memoized per field name. *)
+   through the returned flush — called once per delivered chunk and once
+   when the scan ends — so an instrumented scan pays two int stores per
+   atom, not a counter update. Handles are memoized per field name. *)
 type trace_cell = {
   c_tested : Telemetry.Counter.t;
   c_passed : Telemetry.Counter.t;
@@ -43,7 +43,7 @@ type trace_cell = {
   mutable n_passed : int;
 }
 
-let traced_selection tl schema p =
+let selection_trace tl =
   let handles : (string, trace_cell) Hashtbl.t = Hashtbl.create 8 in
   let cells = ref [] in
   let resolve name =
@@ -82,9 +82,7 @@ let traced_selection tl schema p =
         end)
       !cells
   in
-  Result.map
-    (fun f -> (f, flush))
-    (Ses_store.Selection.compile_traced ~trace schema p)
+  (trace, flush)
 
 let run ?(options = Engine.default_options) ?(strategy = `Auto)
     ?(push_filter = true) ~query path =
@@ -117,13 +115,10 @@ let run ?(options = Engine.default_options) ?(strategy = `Auto)
                       (fun () -> fun () -> ())
                       (Ses_store.Csv_stream.push_selection src p)
                 | Some tl ->
+                    let trace, flush = selection_trace tl in
                     Result.map
-                      (fun (f, flush) ->
-                        Ses_store.Csv_stream.set_filter src f;
-                        flush)
-                      (traced_selection tl
-                         (Ses_store.Csv_stream.source_schema src)
-                         p))
+                      (fun () -> flush)
+                      (Ses_store.Csv_stream.push_selection ~trace src p))
           in
           match install with
           | Error _ as e -> e
@@ -163,7 +158,11 @@ let run ?(options = Engine.default_options) ?(strategy = `Auto)
                           mark := t);
                       go ()
                 in
-                go ()
+                (* Rows the filter drops after the last delivered chunk
+                   were tested too. *)
+                let result = go () in
+                flush_trace ();
+                result
               in
               match feed_all () with
               | Error _ as e -> e

@@ -5,15 +5,18 @@
     [options.batch_size] events ({!Ses_store.Csv_stream.next_batch} into
     [Executor.feed_batch], with no per-event re-boxing in between), so a
     query over an archived relation runs in O(batch) memory in the input
-    — no [Relation.t] is ever materialized. Instrumented runs record a
-    [stream.rows_per_sec] gauge sample and settle the traced-selection
-    counters once per chunk. The Sec. 4.5 constant-condition
-    event filter is pushed {e down into the store-side scan} whenever the
-    pattern supports the strong form (every variable carries at least one
-    constant condition): rows no variable could bind are dropped before
-    the engine sees them, while sequence numbers are still assigned to
-    every scanned row so the surviving events — and hence the matches —
-    are identical to the materialized path's. *)
+    — no [Relation.t] is ever materialized. This is how [ses match] runs
+    a single query. Instrumented runs record a [stream.rows_per_sec]
+    gauge sample and settle the traced-selection counters
+    ([csv.select.<field>.tested|passed]) once per chunk and once when the
+    scan ends. The Sec. 4.5 constant-condition event filter is pushed
+    {e down into the store-side scan} whenever the pattern supports the
+    strong form (every variable carries at least one constant condition):
+    it is decided on each decoded row, and rows no variable could bind
+    are dropped before any event is built for them, while sequence
+    numbers are still assigned to every scanned row so the surviving
+    events — and hence the matches — are identical to the materialized
+    path's. *)
 
 open Ses_event
 open Ses_pattern

@@ -5,26 +5,81 @@
     row carries [name:type] cells for the non-temporal attributes followed
     by the literal cell [T]; data rows carry the attribute values and the
     integer timestamp. Fields containing commas, quotes or newlines are
-    double-quoted with [""] escaping, per RFC 4180. *)
+    double-quoted with [""] escaping, per RFC 4180; a CR outside quotes is
+    dropped.
+
+    Every reader in the store — {!load}, {!of_string}, {!split_line},
+    {!Csv_stream} and the server's rows — goes through one decoder: a
+    record scanner over a reusable byte buffer that slices fields by index,
+    and a typed {!row} view that validates each field in place and builds
+    values only on request. *)
 
 open Ses_event
 
 val escape_field : string -> string
 
 val split_line : string -> (string list, string) result
-(** Splits one CSV record into raw fields (unescaped). *)
+(** Splits one CSV record into raw fields (unescaped). An input holding a
+    second record is an error. *)
 
-val read_record :
-  next:(unit -> char option) ->
-  peek:(unit -> char option) ->
-  (string list option, string) result
-(** Low-level one-record reader over a character producer — the engine
-    behind both {!of_string} and {!Csv_stream}. [Ok None] is a clean end
-    of input. *)
+(** {1 Record scanner} *)
 
-val row_of_fields :
-  Schema.t -> string list -> (Value.t array * int, string) result
-(** Parses one data record's raw fields into a payload and timestamp. *)
+type reader
+(** A record at a time over a channel, read through one byte buffer of
+    {!buffer_size} bytes that grows only for a longer record. *)
+
+val buffer_size : int
+
+val reader_of_channel : In_channel.t -> reader
+
+val reader_of_string : string -> reader
+
+val next_record : reader -> (bool, string) result
+(** Scans the next record: [Ok true] makes it current, [Ok false] is a
+    clean end of input. [Error] (a quoting error or a read error) ends
+    the scan. *)
+
+val single_record : reader -> (unit, string) result
+(** Scans the one record of a one-line input (an empty input leaves a
+    current record of no fields). A second record is an error. *)
+
+val read_header : reader -> (Schema.t, string) result
+(** Reads the first record as a header. *)
+
+(** {1 Typed rows} *)
+
+type row
+(** The current record of a {!reader} seen as a data row of a schema.
+    Numbers are parsed in place; string fields stay slices of the
+    reader's buffer, valid until the next {!next_record}. *)
+
+val row : reader -> Schema.t -> row
+
+val decode : row -> (unit, string) result
+(** Validates the current record: its field count, each typed field
+    exactly as {!Value.of_string} parses it (so ints and floats are
+    trimmed, strings are not), and the timestamp. The error carries no
+    row number. The accessors below read the last decoded record. *)
+
+val ts : row -> Time.t
+
+val int_field : row -> int -> int
+(** The value of an [int] attribute. *)
+
+val str_equal : row -> int -> string -> bool
+(** Whether a [string] attribute's bytes equal the given string. *)
+
+val str_compare : row -> int -> string -> int
+(** [String.compare] of a [string] attribute with the given string, up
+    to the magnitude of the result. *)
+
+val field_value : row -> Schema.Field.t -> Value.t
+(** One field, decoded. *)
+
+val event : row -> seq:int -> Event.t
+(** The row as an event; its strings are fresh copies. *)
+
+(** {1 Headers and relations} *)
 
 val header_of_schema : Schema.t -> string
 
@@ -33,8 +88,11 @@ val schema_of_header : string -> (Schema.t, string) result
 val to_string : Relation.t -> string
 
 val of_string : string -> (Relation.t, string) result
+(** Rows out of timestamp order are sorted (stably), as
+    {!Relation.of_rows} does. *)
 
 val save : string -> Relation.t -> (unit, string) result
 (** Writes to a file path. *)
 
 val load : string -> (Relation.t, string) result
+(** Like {!of_string}, reading the file a buffer at a time. *)

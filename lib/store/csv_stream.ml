@@ -1,30 +1,11 @@
 open Ses_event
 
-let channel_producer ic =
-  let pending = ref None in
-  let peek () =
-    match !pending with
-    | Some _ as c -> c
-    | None ->
-        let c = In_channel.input_char ic in
-        pending := c;
-        c
-  in
-  let next () =
-    match !pending with
-    | Some _ as c ->
-        pending := None;
-        c
-    | None -> In_channel.input_char ic
-  in
-  (next, peek)
-
 type source = {
   ic : In_channel.t;
-  next : unit -> char option;
-  peek : unit -> char option;
   schema : Schema.t;
-  mutable filter : (Event.t -> bool) option;
+  reader : Csv.reader;
+  row : Csv.row;
+  mutable filter : (Csv.row -> bool) option;
   mutable seq : int;  (** next sequence number to assign *)
   mutable last_ts : int;
   mutable dropped : int;
@@ -39,46 +20,37 @@ let open_source ?selection path =
         In_channel.close ic;
         Error msg
       in
-      let next, peek = channel_producer ic in
-      match Csv.read_record ~next ~peek with
+      let reader = Csv.reader_of_channel ic in
+      match Csv.read_header reader with
       | Error msg -> fail msg
-      | Ok None -> fail "csv: empty input"
-      | Ok (Some header) -> (
-          let header_line =
-            String.concat "," (List.map Csv.escape_field header)
+      | Ok schema -> (
+          let filter =
+            match selection with
+            | None -> Ok None
+            | Some p -> Result.map Option.some (Selection.compile_row schema p)
           in
-          match Csv.schema_of_header header_line with
+          match filter with
           | Error msg -> fail msg
-          | Ok schema -> (
-              let filter =
-                match selection with
-                | None -> Ok None
-                | Some p -> Result.map Option.some (Selection.compile schema p)
-              in
-              match filter with
-              | Error msg -> fail msg
-              | Ok filter ->
-                  Ok
-                    {
-                      ic;
-                      next;
-                      peek;
-                      schema;
-                      filter;
-                      seq = 0;
-                      last_ts = min_int;
-                      dropped = 0;
-                      closed = false;
-                    })))
+          | Ok filter ->
+              Ok
+                {
+                  ic;
+                  schema;
+                  reader;
+                  row = Csv.row reader schema;
+                  filter;
+                  seq = 0;
+                  last_ts = min_int;
+                  dropped = 0;
+                  closed = false;
+                }))
 
 let source_schema src = src.schema
 
-let push_selection src p =
+let push_selection ?trace src p =
   Result.map
     (fun f -> src.filter <- Some f)
-    (Selection.compile src.schema p)
-
-let set_filter src f = src.filter <- Some f
+    (Selection.compile_row ?trace src.schema p)
 
 let scanned src = src.seq
 
@@ -90,47 +62,64 @@ let close_source src =
     In_channel.close src.ic
   end
 
-let rec next src =
-  if src.closed then Ok None
+(* Advances to the next row that passes the filter: [Ok true] leaves it
+   decoded in [src.row] with sequence number [src.seq - 1]. Every row is
+   validated and order-checked before the filter sees it, so a rejected
+   row still reports its errors. *)
+let rec next_row src =
+  if src.closed then Ok false
   else
-    match Csv.read_record ~next:src.next ~peek:src.peek with
-    | Error _ as e -> e
-    | Ok None -> Ok None
-    | Ok (Some fields) -> (
-        match Csv.row_of_fields src.schema fields with
+    match Csv.next_record src.reader with
+    | (Error _ | Ok false) as r -> r
+    | Ok true -> (
+        match Csv.decode src.row with
         | Error msg -> Error (Printf.sprintf "row %d: %s" (src.seq + 1) msg)
-        | Ok (payload, ts) ->
+        | Ok () ->
+            let ts = Csv.ts src.row in
             if ts < src.last_ts then
               Error
                 (Printf.sprintf "row %d: timestamps out of order (%d after %d)"
                    (src.seq + 1) ts src.last_ts)
             else begin
               src.last_ts <- ts;
-              let e = Event.make ~seq:src.seq ~ts payload in
               src.seq <- src.seq + 1;
               match src.filter with
-              | Some keep when not (keep e) ->
+              | Some keep when not (keep src.row) ->
                   src.dropped <- src.dropped + 1;
-                  next src
-              | Some _ | None -> Ok (Some e)
+                  next_row src
+              | Some _ | None -> Ok true
             end)
+
+let current src = Csv.event src.row ~seq:(src.seq - 1)
+
+let next src =
+  match next_row src with
+  | Ok true -> Ok (Some (current src))
+  | Ok false -> Ok None
+  | Error _ as e -> e
 
 (* Chunked scan: up to [max] filtered events per call, so downstream
    batch consumers (the stream runner, [Executor.feed_batch]) pay their
-   per-call plumbing once per chunk instead of once per row. *)
+   per-call plumbing once per chunk instead of once per row. Every chunk
+   is a fresh array: a consumer may hand it to another domain. *)
 let next_batch src max =
   if max < 1 then invalid_arg "Csv_stream.next_batch: max < 1";
-  let rec collect acc k =
-    if k = 0 then Ok acc
-    else
-      match next src with
-      | Error _ as e -> e
-      | Ok None -> Ok acc
-      | Ok (Some e) -> collect (e :: acc) (k - 1)
-  in
-  Result.map
-    (fun events -> Array.of_list (List.rev events))
-    (collect [] max)
+  match next_row src with
+  | Error _ as e -> e
+  | Ok false -> Ok [||]
+  | Ok true ->
+      let chunk = Array.make max (current src) in
+      let rec fill k =
+        if k = max then Ok chunk
+        else
+          match next_row src with
+          | Error _ as e -> e
+          | Ok false -> Ok (Array.sub chunk 0 k)
+          | Ok true ->
+              chunk.(k) <- current src;
+              fill (k + 1)
+      in
+      fill 1
 
 let fold_source src ~init ~f =
   let rec go acc =
@@ -154,7 +143,14 @@ let iter path ~f =
   Result.map fst (fold path ~init:() ~f:(fun () e -> f e))
 
 let count path =
-  Result.map snd (fold path ~init:0 ~f:(fun acc _ -> acc + 1))
+  with_source path (fun src ->
+      let rec go () =
+        match next_row src with
+        | Error _ as e -> e
+        | Ok true -> go ()
+        | Ok false -> Ok src.seq
+      in
+      go ())
 
 let stats ?cap path =
   with_source path (fun src ->
@@ -168,9 +164,11 @@ let stats ?cap path =
    sequence counter and the chronological-order check, this function
    owns the CSV grammar. *)
 let row_of_line schema ~seq line =
-  match Csv.split_line line with
+  let reader = Csv.reader_of_string line in
+  match Csv.single_record reader with
   | Error _ as e -> e
-  | Ok fields -> (
-      match Csv.row_of_fields schema fields with
+  | Ok () -> (
+      let row = Csv.row reader schema in
+      match Csv.decode row with
       | Error _ as e -> e
-      | Ok (payload, ts) -> Ok (Event.make ~seq ~ts payload))
+      | Ok () -> Ok (Csv.event row ~seq))

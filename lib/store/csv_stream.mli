@@ -6,12 +6,12 @@
     timestamps are reported as an error. Use this to pipe large archived
     relations straight into a {!Ses_core.Executor} with O(1) memory.
 
-    A {!Selection.predicate} (or an arbitrary event predicate) can be
-    pushed down into the scan: rejected rows are dropped inside the store
-    layer, before anything downstream sees them. Sequence numbers are
-    assigned to {e every} scanned row, dropped or not, so the delivered
-    events are identical to what a client-side filter over the full scan
-    would produce. *)
+    A {!Selection.predicate} can be pushed down into the scan: it is
+    decided on the decoded row ({!Selection.compile_row}), and rejected
+    rows are dropped before any event is built for them. Every row is
+    still validated, and sequence numbers are assigned to {e every}
+    scanned row, dropped or not, so the delivered events are identical to
+    what a client-side filter over the full scan would produce. *)
 
 open Ses_event
 
@@ -26,14 +26,16 @@ val open_source : ?selection:Selection.predicate -> string -> (source, string) r
 
 val source_schema : source -> Schema.t
 
-val push_selection : source -> Selection.predicate -> (unit, string) result
+val push_selection :
+  ?trace:(string -> bool -> unit) ->
+  source ->
+  Selection.predicate ->
+  (unit, string) result
 (** Installs (replacing any previous filter) a store-side filter compiled
     against the source's schema. Callers that need the schema to build
     the predicate — e.g. a pattern parsed against it — use this after
-    {!open_source}. *)
-
-val set_filter : source -> (Event.t -> bool) -> unit
-(** Installs an arbitrary pre-compiled filter. *)
+    {!open_source}. [?trace] is called on every atom evaluated, as in
+    {!Selection.compile_traced}. *)
 
 val next : source -> (Event.t option, string) result
 (** The next event passing the filter; [Ok None] at end of input. Errors
@@ -42,10 +44,11 @@ val next : source -> (Event.t option, string) result
 
 val next_batch : source -> int -> (Event.t array, string) result
 (** Up to [max] events passing the filter, in file order ([max >= 1];
-    raises [Invalid_argument] otherwise). The empty array means end of
-    input — a short but non-empty chunk does not. An error aborts the
-    whole chunk (events scanned before the bad row within it are not
-    returned), so treat any [Error] as fatal to the scan. *)
+    raises [Invalid_argument] otherwise), in a fresh array. The empty
+    array means end of input — a short but non-empty chunk does not. An
+    error aborts the whole chunk (events scanned before the bad row
+    within it are not returned), so treat any [Error] as fatal to the
+    scan. *)
 
 val fold_source : source -> init:'a -> f:('a -> Event.t -> 'a) -> ('a, string) result
 

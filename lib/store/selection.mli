@@ -32,6 +32,18 @@ val compile_traced :
     the hook per-field selectivity telemetry hangs on, without this
     library knowing anything about the instrumentation layer. *)
 
+val compile_row :
+  ?trace:(string -> bool -> unit) ->
+  Schema.t ->
+  predicate ->
+  ((Csv.row -> bool), string) result
+(** The same decision as {!compile} (or {!compile_traced} with [?trace]),
+    made on a decoded CSV row before any event is built: string atoms
+    compare the field's bytes, int atoms the number the decoder parsed in
+    place, and any other (field type, constant) pair decodes that one
+    field for {!Ses_event.Predicate.eval}. Atoms are evaluated, and
+    traced, in the same order with the same short-circuiting. *)
+
 val select : Relation.t -> predicate -> (Relation.t, string) result
 
 val pp : Format.formatter -> predicate -> unit

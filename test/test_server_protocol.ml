@@ -175,11 +175,37 @@ let test_sanitize () =
   | Ok (Protocol.Err _) -> ()
   | _ -> Alcotest.fail "sanitized reply must parse back as ERR"
 
+(* Rows the CSV decoder rejects: the ERR texts carry the decoder's own
+   messages, for a single EVENT and inside a BATCH. *)
+let test_row_errors () =
+  let schema = Result.get_ok (Ses_event.Schema.of_string "ID:int,L:string,V:int") in
+  let rt = Runtime.create (Runtime.default_config ~schema) in
+  let id = Runtime.add_conn rt in
+  List.iter
+    (fun line -> Runtime.input rt id (line ^ "\n"))
+    [
+      "AUTH acme"; "EVENT x,C,0,2"; "EVENT 1,\"C,0,2"; "EVENT 1,\"C\"x,0,2";
+      "BATCH 2"; "x,C,0,3"; "1,C,0,4"; "BATCH 2"; "1,C,0,5"; "1,\"C,0,6";
+    ];
+  Alcotest.(check (list string))
+    "replies"
+    [
+      "OK tenant acme";
+      "ERR event: \"x\" is not an integer";
+      "ERR event: csv: unterminated quoted field";
+      "ERR event: csv: unexpected 'x' after closing quote";
+      "ERR batch: 1 of 2 rows rejected (last: \"x\" is not an integer)";
+      "ERR batch: 1 of 2 rows rejected (last: csv: unterminated quoted field)";
+    ]
+    (List.filter (fun l -> l <> "")
+       (String.split_on_char '\n' (Runtime.take_output rt id)))
+
 let suite =
   [
     Alcotest.test_case "adversarial lines are rejected" `Quick
       test_adversarial;
     Alcotest.test_case "render sanitizes framing bytes" `Quick test_sanitize;
+    Alcotest.test_case "row errors reach ERR" `Quick test_row_errors;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ command_roundtrip; reply_roundtrip; never_raises ]
