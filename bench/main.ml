@@ -172,7 +172,7 @@ let stream_bench () =
          (Printf.sprintf ",\"delivered\":%d"
             str.Ses_harness.Stream_runner.events_delivered))
   in
-  let strategies = [ `Auto; `Plain; `Partitioned; `Brute_force ] in
+  let strategies = [ `Auto; `Plain; `Brute_force ] in
   Printf.printf "Streaming vs materialized (Q1 over chemo, JSON)\n";
   Printf.printf "-----------------------------------------------\n";
   Printf.printf "[\n%s\n]\n\n"

@@ -193,8 +193,8 @@ let strategy_arg =
     & opt strategy_conv `Auto
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
-          "Execution strategy: auto (planner-selected), plain, partitioned, \
-           naive or brute-force.")
+          "Execution strategy: auto (planner-selected), plain, naive or \
+           brute-force.")
 
 let telemetry_arg =
   Arg.(

@@ -7,9 +7,10 @@
    phase; the SES pattern needs one PERMUTE.
 
    The example uses the planner front door: it selects the strong event
-   filter (every variable is label-constrained) and, because the pattern
-   joins every variable pair on USER, the partitioned per-user instance
-   pools.
+   filter (every variable is label-constrained). Because the pattern
+   joins every variable pair on USER, the engine keeps each state's
+   instances in per-user sub-buckets, and a page view walks only its own
+   user's.
 
    Run with: dune exec examples/clickstream.exe *)
 

@@ -72,22 +72,28 @@ type dead_check = {
    [precheck_constants] the constant atoms are evaluated once per input
    event instead of once per instance. [tgt_bucket] interns the target
    state's store bucket so staging a successor costs no lookup.
-   [dead_checks] is empty unless [prune_dead]. *)
+   [dead_checks] is empty unless [prune_dead]. [pin] is the attribute
+   A' of a condition u.A = v.A' with (u, A) in the source state's key
+   class (see [component]): the transition can fire only on an event
+   whose A' equals the instance's key. -1 when there is none. *)
 type prepared_transition = {
   transition : Automaton.transition;
   const_conds : Condition.t list;
   var_conds : Condition.t list;
   tgt_bucket : instance Instance_store.handle;
   dead_checks : dead_check list;
+  pin : int;
 }
 
 (* A negation guard: the variable whose occurrence kills, with its
    conditions split like a transition's so the constant part can veto a
-   whole bucket once per event. *)
+   whole bucket once per event, and pinned like a transition through
+   the negated variable. *)
 type guard = {
   neg_var : int;
   guard_conds : Condition.t list;
   guard_consts : Condition.t list;
+  guard_pin : int;
 }
 
 type observation =
@@ -196,6 +202,77 @@ type outcome = {
   metrics : Metrics.snapshot;
 }
 
+(* Key classes. In a live instance at state q, every Θ equality between
+   two distinct variables of q has held for every pair of their
+   bindings, so the (variable, attribute) pairs such equalities connect
+   within q carry one value — its key. Only attributes of one type count,
+   as in [Pattern.equality_partners] (equality chains through a shared
+   value only within a type), and never the timestamp. A group variable
+   alone in its class may hold bindings that disagree; such an instance
+   can fire no transition pinned to the class, so keying it under any
+   one binding is sound. *)
+
+let is_attr = function
+  | Schema.Field.Attr _ -> true
+  | Schema.Field.Timestamp -> false
+
+let same_node (v, f) (v', f') = v = v' && Schema.Field.equal f f'
+
+(* The pin condition [c] offers to an event bound to [v] at state [q]:
+   for u.A = v.A' with u <> v bound in [q] and A, A' attributes of one
+   type, ((u, A), A'). *)
+let pin_of schema q v (c : Condition.t) =
+  let side =
+    match c.rhs with
+    | Condition.Var (v', f') when c.op = Predicate.Eq ->
+        if c.var = v && v' <> v then Some ((v', f'), c.field)
+        else if v' = v && c.var <> v then Some ((c.var, c.field), f')
+        else None
+    | Condition.Var _ | Condition.Const _ -> None
+  in
+  match side with
+  | Some (((u, a) as node), (Schema.Field.Attr a' as f'))
+    when is_attr a && Varset.mem u q
+         && Value.ty_equal
+              (Schema.Field.type_of schema a)
+              (Schema.Field.type_of schema f') ->
+      Some (node, a')
+  | Some _ | None -> None
+
+(* The pairs Θ's equalities connect to [x] within state [q]. *)
+let component partners q x =
+  let rec grow seen = function
+    | [] -> seen
+    | y :: todo when List.exists (same_node y) seen -> grow seen todo
+    | y :: todo ->
+        let next =
+          match List.find_opt (fun (n, _) -> same_node n y) partners with
+          | Some (_, ps) ->
+              List.filter (fun (w, f) -> Varset.mem w q && is_attr f) ps
+          | None -> []
+        in
+        grow (y :: seen) (next @ todo)
+  in
+  grow [] [ x ]
+
+(* The attribute of the first of [conds]' pins into [members], or -1. *)
+let pin_in schema q members v conds =
+  match
+    List.find_map
+      (fun c ->
+        match pin_of schema q v c with
+        | Some (n, a') when List.exists (same_node n) members -> Some a'
+        | Some _ | None -> None)
+      conds
+  with
+  | Some a' -> a'
+  | None -> -1
+
+let key_of u a inst =
+  match a with
+  | Schema.Field.Attr i -> Event.attr (List.assoc u inst.bindings) i
+  | Schema.Field.Timestamp -> invalid_arg "Engine: timestamp key"
+
 let create ?(options = default_options) automaton =
   let p = Automaton.pattern automaton in
   let store =
@@ -224,12 +301,14 @@ let create ?(options = default_options) automaton =
                     neg_var = nv;
                     guard_conds = conds;
                     guard_consts = List.filter Condition.is_constant conds;
+                    guard_pin = -1;
                   }
               else None)
             (Pattern.negations p) ))
       boundaries
   in
   let accept = Automaton.accept automaton in
+  let partners = Pattern.equality_partners p in
   (* Per variable v, one check per condition u.A = v.A' whose u the
      automaton must still bind: every quantifier has min >= 1, so an
      accepting instance holds every variable of the accept state. A
@@ -248,42 +327,76 @@ let create ?(options = default_options) automaton =
                 { dead_var = u; bound_field = f; partners = ps }
                 :: checks_by_var.(v))
             ps)
-      (Pattern.equality_partners p);
+      partners;
   let dead_checks (tr : Automaton.transition) =
     List.filter
       (fun dc -> not (Varset.mem dc.dead_var tr.tgt))
       checks_by_var.(tr.var)
   in
+  (* A transition's target is a superset of its source, so building the
+     slots in descending state order keys every bucket (through its own
+     slot's [handle ?key]) before a transition interns it as a target. *)
+  let slot q =
+    let trs = Automaton.outgoing automaton q in
+    let guards =
+      List.concat_map
+        (fun (prefix, gs) -> if Varset.equal q prefix then gs else [])
+        negation_guards
+    in
+    let pin_of_conds v conds =
+      List.find_map (pin_of (Pattern.schema p) q v) conds
+    in
+    (* The class of the first pin is the state's key class. *)
+    let first =
+      if partners = [] then None
+      else
+        match
+          List.find_map
+            (fun (tr : Automaton.transition) -> pin_of_conds tr.var tr.conds)
+            trs
+        with
+        | Some _ as pin -> pin
+        | None ->
+            List.find_map (fun g -> pin_of_conds g.neg_var g.guard_conds) guards
+    in
+    let pin, key, guards =
+      match first with
+      | None -> ((fun _ _ -> -1), None, guards)
+      | Some (((u, a) as x), _) ->
+          let pin = pin_in (Pattern.schema p) q (component partners q x) in
+          ( pin,
+            Some (key_of u a),
+            List.map
+              (fun g -> { g with guard_pin = pin g.neg_var g.guard_conds })
+              guards )
+    in
+    let bucket = Instance_store.handle ?key store q in
+    {
+      slot_state = q;
+      accepting = Varset.equal q accept;
+      prepared =
+        List.map
+          (fun (tr : Automaton.transition) ->
+            let const_conds, var_conds =
+              List.partition Condition.is_constant tr.conds
+            in
+            {
+              transition = tr;
+              const_conds;
+              var_conds;
+              tgt_bucket = Instance_store.handle store tr.tgt;
+              dead_checks = dead_checks tr;
+              pin = pin tr.var tr.conds;
+            })
+          trs;
+      guards;
+      bucket;
+      active = [];
+      active_stamp = 0;
+    }
+  in
   let slots =
-    Array.of_list
-      (List.map
-         (fun q ->
-           {
-             slot_state = q;
-             accepting = Varset.equal q accept;
-             prepared =
-               List.map
-                 (fun (tr : Automaton.transition) ->
-                   let const_conds, var_conds =
-                     List.partition Condition.is_constant tr.conds
-                   in
-                   {
-                     transition = tr;
-                     const_conds;
-                     var_conds;
-                     tgt_bucket = Instance_store.handle store tr.tgt;
-                     dead_checks = dead_checks tr;
-                   })
-                 (Automaton.outgoing automaton q);
-             guards =
-               List.concat_map
-                 (fun (prefix, gs) -> if Varset.equal q prefix then gs else [])
-                 negation_guards;
-             bucket = Instance_store.handle store q;
-             active = [];
-             active_stamp = 0;
-           })
-         (Automaton.states automaton))
+    Array.of_list (List.rev_map slot (List.rev (Automaton.states automaton)))
   in
   let slot_of = Hashtbl.create (Array.length slots) in
   Array.iter (fun s -> Hashtbl.replace slot_of s.slot_state s) slots;
@@ -381,14 +494,52 @@ let candidate_transitions st slot e =
     trs
   end
 
-(* Whether some negation guard armed at [slot] could kill on event [e]:
-   at least one guard whose constant atoms [e] satisfies. Shared per
-   bucket per event by the indexed store's skip decision. *)
+(* Whether negation guard [g] could kill on event [e]: [e] satisfies its
+   constant atoms. *)
+let guard_may_fire g e = List.for_all (fun c -> const_holds c e) g.guard_consts
+
+(* Whether some negation guard armed at [slot] could kill on event [e].
+   Shared per bucket per event by the indexed store's skip decision. *)
 let guards_may_fire slot e =
-  slot.guards <> []
-  && List.exists
-       (fun g -> List.for_all (fun c -> const_holds c e) g.guard_consts)
-       slot.guards
+  slot.guards <> [] && List.exists (fun g -> guard_may_fire g e) slot.guards
+
+(* The sub-bucket of [slot] that event [e] can affect. An instance keyed
+   under k can neither fire a transition pinned to an attribute on which
+   [e] holds a value other than k, nor be killed by such a guard. So when
+   every transition in [trs] and every guard that may fire is pinned,
+   all to one value of [e], only that key's instances need a visit:
+   [Some] that value. [None] (walk the whole state) otherwise — in an
+   unkeyed state every pin is -1. *)
+let rec first_key e = function
+  | [] -> None
+  | g :: rest ->
+      if guard_may_fire g e then
+        if g.guard_pin >= 0 then Some (Event.attr e g.guard_pin) else None
+      else first_key e rest
+
+let pinned e k a = a >= 0 && Value.equal k (Event.attr e a)
+
+let rec transitions_pinned e k = function
+  | [] -> true
+  | pt :: rest -> pinned e k pt.pin && transitions_pinned e k rest
+
+let rec guards_pinned e k = function
+  | [] -> true
+  | g :: rest ->
+      ((not (guard_may_fire g e)) || pinned e k g.guard_pin)
+      && guards_pinned e k rest
+
+let probe_key slot e trs =
+  let key =
+    match trs with
+    | pt :: _ -> if pt.pin >= 0 then Some (Event.attr e pt.pin) else None
+    | [] -> first_key e slot.guards
+  in
+  match key with
+  | Some k
+    when transitions_pinned e k trs && guards_pinned e k slot.guards ->
+      key
+  | Some _ | None -> None
 
 (* Dead-instance pruning: a successor binding [e] is dead when, for some
    check, [e]'s value on [bound_field] differs from a partner value the
@@ -593,14 +744,16 @@ let feed_flat st o e =
    ascending state order; a bucket is only walked when the event could
    affect it — some transition survived the constant pre-check, some
    negation guard could fire, or an observer wants the per-instance
-   [Ignored] narration. Expired instances are popped off the sorted
-   prefix without touching the rest. *)
+   [Ignored] narration — and in a keyed state only the sub-bucket
+   [probe_key] selects, unless an observer is installed. Expired
+   instances are popped off the sorted prefix without touching the
+   rest. *)
 let feed_indexed st store e =
   let tau = Automaton.tau st.automaton in
   let completed = ref [] in
   (* Successors stage straight into their target state's interned bucket
      — the per-transition handle resolved at [create]. *)
-  let stage_succ pt succ = Instance_store.stage_h pt.tgt_bucket succ in
+  let stage_succ pt succ = Instance_store.stage pt.tgt_bucket succ in
   ignore (consume st st.start_slot st.fresh e ~on_succ:stage_succ);
   Array.iter
     (fun slot ->
@@ -612,7 +765,7 @@ let feed_indexed st store e =
           | Some p -> Telemetry.Span.start p.expiry_span
         in
         let dead =
-          Instance_store.pop_expired_h bucket ~expired:(fun inst ->
+          Instance_store.pop_expired bucket ~expired:(fun inst ->
               expired tau inst e)
         in
         (match st.probes with
@@ -625,30 +778,31 @@ let feed_indexed st store e =
             observe_expired st e ~accepting inst;
             if accepting then completed := emit st inst :: !completed)
           dead;
-        let scan =
-          candidate_transitions st slot e <> []
-          || guards_may_fire slot e
-          || st.observer <> None
-        in
-        if scan && Instance_store.handle_size bucket > 0 then begin
+        let trs = candidate_transitions st slot e in
+        if
+          (trs <> [] || guards_may_fire slot e || st.observer <> None)
+          && Instance_store.handle_size bucket > 0
+        then begin
+          (* An observer narrates every [Ignored]: walk the whole state. *)
+          let key =
+            match st.observer with
+            | None -> probe_key slot e trs
+            | Some _ -> None
+          in
           let tok =
             match st.probes with
             | None -> 0
-            | Some p ->
-                Telemetry.Histogram.observe p.bucket_scan
-                  (Instance_store.handle_size bucket);
-                Telemetry.Span.start p.transition_span
+            | Some p -> Telemetry.Span.start p.transition_span
           in
-          let insts = Instance_store.take_all_h bucket in
-          let stayed =
-            List.filter
-              (fun inst -> consume st slot inst e ~on_succ:stage_succ)
-              insts
+          let walked =
+            Instance_store.walk bucket key (fun inst ->
+                consume st slot inst e ~on_succ:stage_succ)
           in
-          Instance_store.put_back_h bucket stayed;
           match st.probes with
           | None -> ()
-          | Some p -> Telemetry.Span.stop p.transition_span tok
+          | Some p ->
+              Telemetry.Histogram.observe p.bucket_scan walked;
+              Telemetry.Span.stop p.transition_span tok
         end
       end)
     st.slots;
@@ -724,7 +878,7 @@ let feed_indexed_batch st store kept n_kept =
     observe_expired st e ~accepting inst;
     if accepting then completed := emit st inst :: !completed
   in
-  let stage_succ pt succ = Instance_store.stage_h pt.tgt_bucket succ in
+  let stage_succ pt succ = Instance_store.stage pt.tgt_bucket succ in
   (* One transition span covers the whole kept loop — per-batch probe
      granularity, like the filter pass above and the expiry sweep
      below. *)
@@ -745,15 +899,17 @@ let feed_indexed_batch st store kept n_kept =
           Instance_store.handle_size bucket > 0
           && (candidate_transitions st slot e <> [] || guards_may_fire slot e)
         then begin
-          (match st.probes with
-          | None -> ()
-          | Some p ->
-              Telemetry.Histogram.observe p.bucket_scan
-                (Instance_store.handle_size bucket));
-          let insts = Instance_store.take_all_h bucket in
-          let stayed =
-            List.filter
-              (fun inst ->
+          let key = probe_key slot e (candidate_transitions st slot e) in
+          (* A probe leaves the other keys' instances unwalked: pop the
+             state's expired ones first, as the fused check below would
+             on a whole walk, so emissions and population stay those of
+             the unkeyed walk. *)
+          if Option.is_some key then
+            List.iter (emit_expired e slot)
+              (Instance_store.pop_expired bucket ~expired:(fun inst ->
+                   expired tau inst e));
+          let walked =
+            Instance_store.walk bucket key (fun inst ->
                 if expired tau inst e then begin
                   (* Fused expiry: the window closed mid-batch; emit (if
                      accepting) and drop before it can consume. *)
@@ -761,9 +917,10 @@ let feed_indexed_batch st store kept n_kept =
                   false
                 end
                 else consume st slot inst e ~on_succ:stage_succ)
-              insts
           in
-          Instance_store.put_back_h bucket stayed
+          match st.probes with
+          | None -> ()
+          | Some p -> Telemetry.Histogram.observe p.bucket_scan walked
         end)
       st.slots;
     Instance_store.commit store;
@@ -785,7 +942,7 @@ let feed_indexed_batch st store kept n_kept =
       let bucket = bucket_of slot in
       if Instance_store.handle_size bucket > 0 then
         List.iter (emit_expired last slot)
-          (Instance_store.pop_expired_h bucket ~expired:(fun inst ->
+          (Instance_store.pop_expired bucket ~expired:(fun inst ->
                expired tau inst last)))
     st.slots;
   (match st.probes with
@@ -869,9 +1026,16 @@ let close st =
       flushed
   | Store s ->
       (* Only the accepting bucket can flush; everything else just dies. *)
-      let flushed = flush (Instance_store.take_all s accept) in
+      let flushed =
+        flush (Instance_store.take_all (Hashtbl.find st.slot_of accept).bucket)
+      in
       Instance_store.clear s;
       flushed
+
+let sub_buckets st =
+  match st.pop with
+  | Omega _ -> 0
+  | Store s -> Instance_store.sub_buckets s
 
 let population_by_state st =
   let counts =

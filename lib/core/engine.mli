@@ -25,9 +25,26 @@ open Ses_event
     {!Instance_store}: instances bucketed by automaton state and sorted
     by the start of their window, so states the event cannot affect are
     skipped in O(1) and the τ-expiry sweep stops at the first unexpired
-    instance. The two representations produce the same emissions (as
-    sets; the within-event emission order may differ) and the same
-    metrics. *)
+    instance.
+
+    [Indexed] also splits a state's bucket by join key. At {!create} each
+    state q gets at most one key class: (variable, attribute) pairs bound
+    in q that Θ's equalities among q's variables force to one value in
+    every live instance (attributes of one type, as in
+    {!Ses_pattern.Pattern.equality_partners}; never the timestamp). A
+    transition out of q binding v is {e pinned} when it carries
+    [u.A = v.A'] with (u, A) in the class, a negation guard armed at q
+    likewise through its negated variable. When every transition that
+    survives the constant pre-check and every guard that may fire is
+    pinned, all to one value of the event, the event walks only that
+    key's instances; otherwise it walks the whole state. Skip-till-next-
+    match is why the rule is this strict: an instance is consumed by any
+    transition it fires, so an unpinned transition must see instances of
+    every key (the "poisoned branch" of Q1's star joins). With an
+    observer installed every walk is whole, so narration is unchanged.
+
+    The two representations produce the same emissions (as sets; the
+    within-event emission order may differ) and the same metrics. *)
 type store_kind =
   | Flat
   | Indexed
@@ -83,9 +100,10 @@ type options = {
       (** instrumentation recorder (default [None] = no-op: every probe
           on the hot path costs one branch). The engine plants [filter],
           [transition], [expiry] and [finalize] spans, a
-          [store.bucket_scan] histogram and a [population] gauge; the
-          executors layered above add their own probes to the same
-          recorder. *)
+          [store.bucket_scan] histogram (per state walked, the instances
+          walked: a key's sub-bucket on a probe) and a [population]
+          gauge; the executors layered above add their own probes to the
+          same recorder. *)
 }
 
 val default_options : options
@@ -183,6 +201,11 @@ val close : stream -> Substitution.t list
 
 val population : stream -> int
 (** Current |Ω|; O(1) with the indexed store. *)
+
+val sub_buckets : stream -> int
+(** Key sub-buckets the indexed store currently holds across its keyed
+    states (0 with the flat pool). A sub-bucket is dropped once it is
+    empty, so this reads 0 whenever the population does. *)
 
 val population_by_state : stream -> (Varset.t * int) list
 (** Live instances grouped by their current state, descending by count;

@@ -1,14 +1,13 @@
 open Ses_event
 
-type strategy = [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
+type strategy = [ `Auto | `Plain | `Naive | `Brute_force ]
 
 let strategies : strategy list =
-  [ `Auto; `Plain; `Partitioned; `Naive; `Brute_force ]
+  [ `Auto; `Plain; `Naive; `Brute_force ]
 
 let strategy_name = function
   | `Auto -> "auto"
   | `Plain -> "plain"
-  | `Partitioned -> "partitioned"
   | `Naive -> "naive"
   | `Brute_force -> "brute-force"
 
@@ -16,14 +15,12 @@ let strategy_of_string s =
   match String.lowercase_ascii s with
   | "auto" -> Ok `Auto
   | "plain" | "engine" -> Ok `Plain
-  | "partitioned" -> Ok `Partitioned
   | "naive" -> Ok `Naive
   | "brute-force" | "brute_force" | "bf" -> Ok `Brute_force
   | other ->
       Error
         (Printf.sprintf
-           "unknown strategy %S (expected auto, plain, partitioned, naive \
-            or brute-force)"
+           "unknown strategy %S (expected auto, plain, naive or brute-force)"
            other)
 
 module type EXECUTOR = sig
@@ -53,7 +50,7 @@ let batch_of_feed feed t es =
   Array.iter (fun e -> acc := List.rev_append (feed t e) !acc) es;
   List.rev !acc
 
-module Plain : EXECUTOR = struct
+module Plain : EXECUTOR with type t = Engine.stream = struct
   type t = Engine.stream
 
   let name = "plain"
@@ -73,44 +70,12 @@ module Plain : EXECUTOR = struct
   let metrics = Engine.metrics
 end
 
-module Partitioned_exec : EXECUTOR = struct
-  type t = Partitioned.stream
-
-  let name = "partitioned"
-
-  let create ?options automaton = Partitioned.create ?options automaton
-
-  let feed = Partitioned.feed
-
-  let feed_batch = Partitioned.feed_batch
-
-  let close = Partitioned.close
-
-  let emitted = Partitioned.emitted
-
-  let population = Partitioned.population
-
-  let metrics = Partitioned.metrics
-end
-
 module Auto : EXECUTOR = struct
-  type t = Planner.stream
+  include Plain
 
   let name = "auto"
 
   let create = Planner.create
-
-  let feed = Planner.feed
-
-  let feed_batch = Planner.feed_batch
-
-  let close = Planner.close
-
-  let emitted = Planner.emitted
-
-  let population = Planner.population
-
-  let metrics = Planner.metrics
 end
 
 module Naive_exec : EXECUTOR = struct
@@ -205,13 +170,11 @@ let register_brute_force m = brute_force := Some m
 
 module Auto_i = Instrument (Auto)
 module Plain_i = Instrument (Plain)
-module Partitioned_i = Instrument (Partitioned_exec)
 module Naive_i = Instrument (Naive_exec)
 
 let of_strategy : strategy -> (module EXECUTOR) = function
   | `Auto -> (module Auto_i)
   | `Plain -> (module Plain_i)
-  | `Partitioned -> (module Partitioned_i)
   | `Naive -> (module Naive_i)
   | `Brute_force -> (
       match !brute_force with

@@ -1,9 +1,9 @@
 (** The unified push-based execution interface.
 
     Every way this library can evaluate a SES pattern — the plain engine
-    (Algorithms 1–2), hash-partitioned instance pools, the planner's
-    automatic lever selection, the Definition 2 oracle, and the Sec. 5.2
-    brute-force baseline — implements the same [EXECUTOR] signature:
+    (Algorithms 1–2), the planner's automatic lever selection, the
+    Definition 2 oracle, and the Sec. 5.2 brute-force baseline —
+    implements the same [EXECUTOR] signature:
     [create] an executor from an automaton, [feed] it one chronological
     event at a time (receiving the raw substitutions completed by that
     event), [close] it to flush accepting instances, and read uniform
@@ -19,11 +19,11 @@
 
 open Ses_event
 
-type strategy = [ `Auto | `Plain | `Partitioned | `Naive | `Brute_force ]
+type strategy = [ `Auto | `Plain | `Naive | `Brute_force ]
 (** [`Auto] runs {!Planner.plan}'s choice of levers; [`Plain] the bare
-    {!Engine}; [`Partitioned] per-key pools (with single-pool fallback);
-    [`Naive] the exhaustive Definition 2 oracle; [`Brute_force] the
-    one-automaton-per-ordering baseline of Sec. 5.2.
+    {!Engine} (whose instance store already gives every strategy built
+    on it key locality); [`Naive] the exhaustive Definition 2 oracle;
+    [`Brute_force] the one-automaton-per-ordering baseline of Sec. 5.2.
 
     Every strategy runs a single query on the calling domain and ignores
     [options.domains]: that count spreads several queries across worker
@@ -79,7 +79,7 @@ val of_strategy : strategy -> (module EXECUTOR)
     Every returned module is wrapped in a uniform instrumentation layer:
     when [options.telemetry] carries a recorder, each [feed] (and each
     [feed_batch] chunk) is timed into an [ingest] span and an [event_ns]
-    histogram, so all five strategies report ingest cost through the
+    histogram, so all four strategies report ingest cost through the
     same probe names — per event on the per-event path, per batch on the
     batched one. *)
 

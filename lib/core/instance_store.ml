@@ -1,59 +1,99 @@
 open Ses_event
 
-(* Buckets hold their instances as a list sorted ascending by
-   (ts_of, seq_of); [n] caches the length. Pending inserts accumulate
-   newest-first on the bucket itself; [dirty] lists the buckets with a
-   non-empty pending list so [commit] visits exactly those — staging
-   through an interned handle therefore costs no hashtable probe at
-   all. [total] counts committed instances only. *)
+(* A run is a list of instances sorted ascending by (ts_of, seq_of); [n]
+   caches its length. Pending inserts accumulate newest-first on the run
+   itself, and [dirty] lists the runs (with their buckets) that have a
+   non-empty pending list, so [commit] visits exactly those — staging
+   through an interned handle costs no hashtable probe in an unkeyed
+   state. [total] counts committed instances only.
 
-type 'a bucket = {
+   An unkeyed state holds one run. A keyed state holds one run per key
+   value, allocated on first insert and dropped once it is empty with
+   nothing pending, plus a min-heap of its non-empty runs ordered by
+   their first instance, so the heap's top holds the state's oldest
+   instance. Each run caches its first instance's (ts_of, seq_of) and
+   its heap position, so a run whose head changes is re-sifted in place
+   and the expiry pop costs O(log runs) per expired instance. *)
+
+(* Sub-bucket tables. Keys of one bucket share a type (the engine never
+   keys a mixed-type join), and within a type this hash agrees with
+   [Value.equal]: [Float.hash] maps -0.0 and 0.0, and every NaN, to one
+   value. Hashing an int in OCaml rather than through the generic
+   [Hashtbl] keeps the dense-join probe loop about 13% faster. *)
+module Keys = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+
+  let hash = function
+    | Value.Int i -> i land max_int
+    | Value.Float f -> Float.hash f
+    | Value.Str s -> String.hash s
+end)
+
+type 'a run = {
   mutable items : 'a list;
   mutable n : int;
   mutable pending : 'a list;  (* staged inserts, newest first *)
+  mutable pos : int;  (* index in the heap of run heads, -1 when absent *)
+  mutable h_ts : Time.t;  (* the head's (ts_of, seq_of) while in the heap *)
+  mutable h_seq : int;
+}
+
+type 'a bucket = {
+  one : 'a run;  (* an unkeyed state's instances *)
+  keyed : 'a keyed option;
+  mutable size : int;
+}
+
+and 'a keyed = {
+  key_of : 'a -> Value.t;
+  mutable runs : 'a run Keys.t option;
+  mutable heads : 'a run array;
+  mutable n_heads : int;
 }
 
 type 'a t = {
   ts_of : 'a -> Time.t;
   seq_of : 'a -> int;
   buckets : (Varset.t, 'a bucket) Hashtbl.t;
-  mutable dirty : 'a bucket list;  (* buckets with pending inserts *)
+  mutable dirty : ('a bucket * 'a run) list;  (* runs with pending inserts *)
   mutable total : int;
 }
 
 let create ~ts_of ~seq_of () =
-  {
-    ts_of;
-    seq_of;
-    buckets = Hashtbl.create 32;
-    dirty = [];
-    total = 0;
-  }
+  { ts_of; seq_of; buckets = Hashtbl.create 32; dirty = []; total = 0 }
 
 let size st = st.total
 
-let bucket st q = Hashtbl.find_opt st.buckets q
+let fresh_run () =
+  { items = []; n = 0; pending = []; pos = -1; h_ts = 0; h_seq = 0 }
 
-let bucket_size st q =
-  match bucket st q with None -> 0 | Some b -> b.n
+let fresh_bucket key =
+  {
+    one = fresh_run ();
+    keyed =
+      Option.map
+        (fun key_of -> { key_of; runs = None; heads = [||]; n_heads = 0 })
+        key;
+    size = 0;
+  }
 
 (* A handle interns the bucket record itself: resolving one per automaton
    state at stream creation removes every per-event hashtable probe from
    the engine's hot loop. Handles stay valid for the lifetime of the
    store — [clear] empties buckets in place instead of dropping them. *)
-type 'a handle = { owner : 'a t; hb : 'a bucket }
+type 'a handle = { owner_store : 'a t; hb : 'a bucket }
 
-let fresh_bucket () = { items = []; n = 0; pending = [] }
-
-let handle st q =
+let handle ?key st q =
   match Hashtbl.find_opt st.buckets q with
-  | Some b -> { owner = st; hb = b }
+  | Some b -> { owner_store = st; hb = b }
   | None ->
-      let b = fresh_bucket () in
+      let b = fresh_bucket key in
       Hashtbl.replace st.buckets q b;
-      { owner = st; hb = b }
+      { owner_store = st; hb = b }
 
-let handle_size h = h.hb.n
+let handle_size h = h.hb.size
 
 (* Bucket order: ascending (ts_of, seq_of), compared without building
    tuples — this comparison runs once per instance per merge. *)
@@ -61,74 +101,6 @@ let before st a b =
   let ta = st.ts_of a and tb = st.ts_of b in
   let c = Time.compare ta tb in
   if c <> 0 then c < 0 else st.seq_of a <= st.seq_of b
-
-let pop_expired_bucket st b ~expired =
-  let rec split acc = function
-    | x :: rest when expired x -> split (x :: acc) rest
-    | rest -> (acc, rest)
-  in
-  let dead_rev, alive = split [] b.items in
-  match dead_rev with
-  | [] -> []
-  | _ ->
-      let k = List.length dead_rev in
-      b.items <- alive;
-      b.n <- b.n - k;
-      st.total <- st.total - k;
-      List.rev dead_rev
-
-let pop_expired st q ~expired =
-  match bucket st q with
-  | None -> []
-  | Some b -> pop_expired_bucket st b ~expired
-
-let pop_expired_h h ~expired = pop_expired_bucket h.owner h.hb ~expired
-
-let take_all_bucket st b =
-  let items = b.items in
-  st.total <- st.total - b.n;
-  b.items <- [];
-  b.n <- 0;
-  items
-
-let take_all st q =
-  match bucket st q with None -> [] | Some b -> take_all_bucket st b
-
-let take_all_h h = take_all_bucket h.owner h.hb
-
-let put_back_bucket st b items =
-  match items with
-  | [] -> ()
-  | _ ->
-      if b.n <> 0 then invalid_arg "Instance_store.put_back: bucket not empty";
-      let k = List.length items in
-      b.items <- items;
-      b.n <- k;
-      st.total <- st.total + k
-
-let put_back st q items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let b =
-        match bucket st q with
-        | Some b -> b
-        | None ->
-            let b = fresh_bucket () in
-            Hashtbl.replace st.buckets q b;
-            b
-      in
-      put_back_bucket st b items
-
-let put_back_h h items = put_back_bucket h.owner h.hb items
-
-let stage_bucket st b a =
-  (match b.pending with [] -> st.dirty <- b :: st.dirty | _ :: _ -> ());
-  b.pending <- a :: b.pending
-
-let stage_h h a = stage_bucket h.owner h.hb a
-
-let stage st q a = stage_bucket st (handle st q).hb a
 
 let merge st xs ys =
   let rec go acc xs ys =
@@ -139,46 +111,296 @@ let merge st xs ys =
   in
   go [] xs ys
 
+(* Pairwise rounds: O(n log k) for k runs of n instances in all. *)
+let rec merge_all st = function
+  | [] -> []
+  | [ l ] -> l
+  | ls ->
+      let rec pairs = function
+        | a :: b :: rest -> merge st a b :: pairs rest
+        | ls -> ls
+      in
+      merge_all st (pairs ls)
+
+(* ---- the heap of run heads ---- *)
+
+let head_before a b =
+  a.h_ts < b.h_ts || (a.h_ts = b.h_ts && a.h_seq < b.h_seq)
+
+let place k i r =
+  k.heads.(i) <- r;
+  r.pos <- i
+
+let rec sift_up k i r =
+  let p = (i - 1) / 2 in
+  if i > 0 && head_before r k.heads.(p) then begin
+    place k i k.heads.(p);
+    sift_up k p r
+  end
+  else place k i r
+
+let rec sift_down k i r =
+  let l = (2 * i) + 1 in
+  if l >= k.n_heads then place k i r
+  else
+    let c =
+      if l + 1 < k.n_heads && head_before k.heads.(l + 1) k.heads.(l) then
+        l + 1
+      else l
+    in
+    if head_before k.heads.(c) r then begin
+      place k i k.heads.(c);
+      sift_down k c r
+    end
+    else place k i r
+
+(* After [r]'s items changed from [old]: re-key its heap entry, insert
+   or remove it, and drop a run left with nothing. *)
+let settle st k r old =
+  match r.items with
+  | x :: _ ->
+      r.h_ts <- st.ts_of x;
+      r.h_seq <- st.seq_of x;
+      if r.pos < 0 then begin
+        if k.n_heads = Array.length k.heads then begin
+          let grown = Array.make (max 8 (2 * k.n_heads)) r in
+          Array.blit k.heads 0 grown 0 k.n_heads;
+          k.heads <- grown
+        end;
+        k.n_heads <- k.n_heads + 1;
+        sift_up k (k.n_heads - 1) r
+      end
+      else begin
+        sift_up k r.pos r;
+        sift_down k r.pos r
+      end
+  | [] -> (
+      if r.pos >= 0 then begin
+        let i = r.pos and last = k.heads.(k.n_heads - 1) in
+        r.pos <- -1;
+        k.n_heads <- k.n_heads - 1;
+        if i < k.n_heads then begin
+          sift_up k i last;
+          sift_down k last.pos last
+        end
+      end;
+      match (old, k.runs) with
+      | x :: _, Some runs when r.pending = [] ->
+          Keys.remove runs (k.key_of x)
+      | _ -> ())
+
+let runs_of k =
+  match k.runs with
+  | Some runs -> runs
+  | None ->
+      let runs = Keys.create 8 in
+      k.runs <- Some runs;
+      runs
+
+let run_for k x =
+  let runs = runs_of k in
+  let key = k.key_of x in
+  match Keys.find_opt runs key with
+  | Some r -> r
+  | None ->
+      let r = fresh_run () in
+      Keys.add runs key r;
+      r
+
+(* ---- reading and writing whole buckets ---- *)
+
+let remove_run st b r =
+  let items = r.items in
+  st.total <- st.total - r.n;
+  b.size <- b.size - r.n;
+  r.items <- [];
+  r.n <- 0;
+  items
+
+let set_run st b r items =
+  let k = List.length items in
+  r.items <- items;
+  r.n <- k;
+  b.size <- b.size + k;
+  st.total <- st.total + k
+
+(* Removes and returns a bucket's instances in bucket order. A keyed
+   state's runs stay in its table (a run may hold pending inserts). *)
+let take st b =
+  match b.keyed with
+  | None -> remove_run st b b.one
+  | Some k -> (
+      match k.runs with
+      | None -> []
+      | Some runs ->
+          k.n_heads <- 0;
+          merge_all st
+            (Keys.fold
+               (fun _ r acc ->
+                 r.pos <- -1;
+                 remove_run st b r :: acc)
+               runs []))
+
+(* Refills an emptied bucket with [items], in bucket order: a keyed
+   state regroups them by key and rebuilds its heap. *)
+let refill st b items =
+  match b.keyed with
+  | None -> set_run st b b.one items
+  | Some k ->
+      List.iter
+        (fun x ->
+          let r = run_for k x in
+          r.items <- x :: r.items;
+          r.n <- r.n + 1)
+        (List.rev items);
+      let k_n = List.length items in
+      b.size <- b.size + k_n;
+      st.total <- st.total + k_n;
+      Keys.filter_map_inplace
+        (fun _ r ->
+          match r.items with
+          | _ :: _ ->
+              settle st k r [];
+              Some r
+          | [] -> if r.pending = [] then None else Some r)
+        (runs_of k)
+
+let rec pop_keyed st b k ~expired acc =
+  if k.n_heads = 0 then acc
+  else
+    let r = k.heads.(0) in
+    match r.items with
+    | x :: rest when expired x ->
+        let old = r.items in
+        r.items <- rest;
+        r.n <- r.n - 1;
+        b.size <- b.size - 1;
+        st.total <- st.total - 1;
+        settle st k r old;
+        pop_keyed st b k ~expired (x :: acc)
+    | _ -> acc
+
+let pop_expired_bucket st b ~expired =
+  match b.keyed with
+  | Some k -> List.rev (pop_keyed st b k ~expired [])
+  | None -> (
+      let r = b.one in
+      let rec split acc = function
+        | x :: rest when expired x -> split (x :: acc) rest
+        | rest -> (acc, rest)
+      in
+      let dead_rev, alive = split [] r.items in
+      match dead_rev with
+      | [] -> []
+      | _ ->
+          let k = List.length dead_rev in
+          r.items <- alive;
+          r.n <- r.n - k;
+          b.size <- b.size - k;
+          st.total <- st.total - k;
+          List.rev dead_rev)
+
+let pop_expired h ~expired = pop_expired_bucket h.owner_store h.hb ~expired
+
+let take_all h = take h.owner_store h.hb
+
+let put_back h items =
+  if h.hb.size <> 0 then
+    invalid_arg "Instance_store.put_back: bucket not empty";
+  refill h.owner_store h.hb items
+
+let walk h key keep =
+  let st = h.owner_store and b = h.hb in
+  match (b.keyed, key) with
+  | Some ({ runs = Some runs; _ } as k), Some key -> (
+      match Keys.find_opt runs key with
+      | None -> 0
+      | Some r ->
+          let old = r.items and n = r.n in
+          ignore (remove_run st b r);
+          set_run st b r (List.filter keep old);
+          settle st k r old;
+          n)
+  | (None | Some _), _ ->
+      let n = b.size in
+      let items = take st b in
+      refill st b (List.filter keep items);
+      n
+
+let stage h a =
+  let st = h.owner_store and b = h.hb in
+  let r = match b.keyed with None -> b.one | Some k -> run_for k a in
+  (match r.pending with [] -> st.dirty <- (b, r) :: st.dirty | _ :: _ -> ());
+  r.pending <- a :: r.pending
+
 let commit st =
   match st.dirty with
   | [] -> ()
   | dirty ->
       st.dirty <- [];
       List.iter
-        (fun b ->
+        (fun (b, r) ->
           let incoming =
-            List.sort
-              (fun a b -> if before st a b then -1 else 1)
-              b.pending
+            List.sort (fun x y -> if before st x y then -1 else 1) r.pending
           in
-          let k = List.length incoming in
-          b.pending <- [];
-          b.items <- merge st b.items incoming;
-          b.n <- b.n + k;
-          st.total <- st.total + k)
+          let old = r.items and added = List.length incoming in
+          r.pending <- [];
+          r.items <- merge st old incoming;
+          r.n <- r.n + added;
+          b.size <- b.size + added;
+          st.total <- st.total + added;
+          match b.keyed with
+          | Some k -> settle st k r old
+          | None -> ())
         dirty
 
 let fold_buckets f st init =
   let states =
     Hashtbl.fold
-      (fun q b acc -> if b.n > 0 then q :: acc else acc)
+      (fun q b acc -> if b.size > 0 then q :: acc else acc)
       st.buckets []
   in
   List.fold_left
-    (fun acc q -> f q (Option.get (bucket st q)).items acc)
+    (fun acc q ->
+      let b = Hashtbl.find st.buckets q in
+      let items =
+        match b.keyed with
+        | None -> b.one.items
+        | Some k ->
+            merge_all st
+              (Option.fold ~none:[]
+                 ~some:(fun runs ->
+                   Keys.fold (fun _ r acc -> r.items :: acc) runs [])
+                 k.runs)
+      in
+      f q items acc)
     init
     (List.sort Varset.compare states)
 
 let to_list st =
   List.rev (fold_buckets (fun _ items acc -> List.rev_append items acc) st [])
 
+let sub_buckets st =
+  Hashtbl.fold
+    (fun _ b acc ->
+      match b.keyed with
+      | Some { runs = Some runs; _ } -> acc + Keys.length runs
+      | Some { runs = None; _ } | None -> acc)
+    st.buckets 0
+
 let clear st =
   (* Empty in place: interned bucket handles must survive a clear. *)
   Hashtbl.iter
     (fun _ b ->
-      b.items <- [];
-      b.n <- 0;
-      b.pending <- [])
+      b.one.items <- [];
+      b.one.n <- 0;
+      b.one.pending <- [];
+      b.size <- 0;
+      Option.iter
+        (fun k ->
+          k.runs <- None;
+          k.n_heads <- 0)
+        b.keyed)
     st.buckets;
   st.dirty <- [];
   st.total <- 0

@@ -71,40 +71,6 @@ let snapshot (m : t) : snapshot =
     matches_emitted = m.matches_emitted;
   }
 
-(* Split accounting: the snapshots come from per-key pools that split
-   one input among themselves, so every counter is a sum — each event,
-   instance and transition is counted by exactly one pool — except
-   [max_simultaneous_instances], whose per-pool peaks need not coincide
-   in time: the merge keeps their max, and [Partitioned] replaces it
-   with its own cross-pool total. *)
-let merge snapshots =
-  List.fold_left
-    (fun acc s ->
-      {
-        events_seen = acc.events_seen + s.events_seen;
-        events_filtered = acc.events_filtered + s.events_filtered;
-        instances_created = acc.instances_created + s.instances_created;
-        max_simultaneous_instances =
-          max acc.max_simultaneous_instances s.max_simultaneous_instances;
-        transitions_fired = acc.transitions_fired + s.transitions_fired;
-        instances_expired = acc.instances_expired + s.instances_expired;
-        instances_killed = acc.instances_killed + s.instances_killed;
-        instances_pruned = acc.instances_pruned + s.instances_pruned;
-        matches_emitted = acc.matches_emitted + s.matches_emitted;
-      })
-    {
-      events_seen = 0;
-      events_filtered = 0;
-      instances_created = 0;
-      max_simultaneous_instances = 0;
-      transitions_fired = 0;
-      instances_expired = 0;
-      instances_killed = 0;
-      instances_pruned = 0;
-      matches_emitted = 0;
-    }
-    snapshots
-
 (* Replica accounting (the paper's Sec. 5.2 bookkeeping for the
    brute-force baseline): every replica consumes the whole input, so the
    input-side counters take the max (they are equal across replicas)

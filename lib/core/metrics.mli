@@ -53,13 +53,6 @@ val sample_population : t -> int -> unit
 
 val snapshot : t -> snapshot
 
-val merge : snapshot list -> snapshot
-(** Combines the snapshots of executors that {e split} one input among
-    themselves: every counter is summed, except
-    [max_simultaneous_instances], which takes the max. Per-key pools
-    split one input, so their counters sum, and {!Partitioned} replaces
-    the peak with its own cross-pool total. [merge [] = zero]. *)
-
 val merge_replicas : snapshot list -> snapshot
 (** Combines the snapshots of executors that each consume the {e whole}
     input (the Sec. 5.2 brute-force chains): [events_seen] and

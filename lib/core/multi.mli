@@ -6,8 +6,8 @@
     single chronological feed against every registered query and collects
     completions per query name. Results are identical to running each
     automaton separately over the same feed. Queries can mix strategies:
-    a partitionable pattern can run per-key pools while its neighbours
-    run the plain engine.
+    one can run the planner's levers while its neighbours run the plain
+    engine.
 
     {b Shared plan.} Registrations live in one {!Shared_plan}: the
     distinct constant predicates across all queries' filters are

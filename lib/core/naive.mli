@@ -7,7 +7,7 @@
     the only shared code is {!Substitution}'s condition checkers.
 
     The enumeration is also a scalpel for the semantic gap documented in
-    {!Substitution.policy} and {!Partitioned}: skip-till-next-match is a
+    {!Substitution.policy} and {!Engine}: skip-till-next-match is a
     {e strategy}, so the engine can miss substitutions that satisfy
     conditions 1–3 (e.g. the poisoned-branch scenario); the engine's output
     is always a subset of this module's. *)

@@ -29,7 +29,6 @@ let analyze automaton = Option.map (fun f -> f automaton) !analyzer
 
 type t = {
   filter : Event_filter.mode;
-  partition : Ses_event.Schema.Field.t option;
   precheck_constants : bool;
   cases : Exclusivity.case list;
   analysis : analysis option;
@@ -38,9 +37,6 @@ type t = {
 let plan automaton =
   let p = Automaton.pattern automaton in
   let analysis = analyze automaton in
-  let planning_automaton =
-    match analysis with Some a -> a.automaton | None -> automaton
-  in
   let extra =
     match analysis with Some a -> a.filter_extras | None -> []
   in
@@ -49,7 +45,6 @@ let plan automaton =
     filter =
       (if Event_filter.effective strong then Event_filter.Strong
        else Event_filter.No_filter);
-    partition = Partitioned.partition_key planning_automaton;
     precheck_constants = true;
     cases = Exclusivity.classify p;
     analysis;
@@ -255,50 +250,19 @@ let effective_automaton plan automaton =
       a.automaton
   | Some _ | None -> automaton
 
-(* Incremental execution under a plan: the partitioned stream already
-   embeds the single-pool fallback, so the planned stream is a
-   partitioned stream with the plan's levers layered onto the options
-   and the plan's (precomputed) partition decision. *)
-
-type stream = { plan : t; inner : Partitioned.stream }
-
+(* Incremental execution under a plan: an engine stream over the
+   effective automaton with the plan's levers layered onto the
+   options. *)
 let create_with ?(options = Engine.default_options) plan automaton =
-  {
-    plan;
-    inner =
-      Partitioned.create ~options:(options_with plan options)
-        ~key:plan.partition
-        (effective_automaton plan automaton);
-  }
+  Engine.create ~options:(options_with plan options)
+    (effective_automaton plan automaton)
 
 let create ?options automaton = create_with ?options (plan automaton) automaton
 
-let plan_of st = st.plan
-
-let feed st e = Partitioned.feed st.inner e
-
-let feed_batch st es = Partitioned.feed_batch st.inner es
-
-let close st = Partitioned.close st.inner
-
-let emitted st = Partitioned.emitted st.inner
-
-let population st = Partitioned.population st.inner
-
-let metrics st = Partitioned.metrics st.inner
-
 let execute ?(options = Engine.default_options) plan automaton events =
-  let st = create_with ~options plan automaton in
-  Seq.iter (fun e -> ignore (feed st e)) events;
-  ignore (close st);
-  let raw = emitted st in
-  let matches =
-    if options.Engine.finalize then
-      Substitution.finalize ~policy:options.Engine.policy
-        (Automaton.pattern automaton) raw
-    else raw
-  in
-  { Engine.matches; raw; metrics = metrics st }
+  Engine.run ~options:(options_with plan options)
+    (effective_automaton plan automaton)
+    events
 
 let run ?options automaton events =
   execute ?options (plan automaton) automaton events
@@ -344,9 +308,6 @@ let describe ?access ?pushed plan =
   (match pushed with
   | Some p -> Buffer.add_string buf (Printf.sprintf "pushed filter: %s\n" p)
   | None -> ());
-  (match plan.partition with
-  | Some _ -> Buffer.add_string buf "partitioning: per key value\n"
-  | None -> Buffer.add_string buf "partitioning: not applicable\n");
   Buffer.add_string buf
     (Printf.sprintf "constant pre-check: %b\n" plan.precheck_constants);
   (* Analysis lines appear only when the analyzer changed something, so

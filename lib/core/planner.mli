@@ -2,9 +2,11 @@
 
     The library exposes several result-transparent execution levers: the
     Sec. 4.5 event filter (and its strong variant), the per-event
-    constant-condition pre-check, and hash-partitioned instance pools.
-    [plan] inspects a pattern's automaton and picks the strongest
-    applicable combination; [execute] runs it. The choice never changes
+    constant-condition pre-check, and the static analyzer's pruning and
+    inferred filter constraints. [plan] inspects a pattern's automaton
+    and picks the strongest applicable combination; [execute] runs it.
+    Key locality needs no lever: the engine's instance store derives it
+    from the pattern (see {!Engine}). The choice never changes
     the matches — only the work — and is explained by [describe] together
     with the complexity-case classification of Sec. 4.4 that predicts the
     instance-pool growth. *)
@@ -54,10 +56,6 @@ type t = {
       (** [Strong] when the pattern's constant conditions (together with
           any analyzer-inferred ones) make the filter effective,
           [No_filter] otherwise *)
-  partition : Ses_event.Schema.Field.t option;
-      (** the {!Partitioned} key, when its criterion holds — evaluated
-          on the pruned automaton when an analyzer is registered, so
-          pruning can unlock partitioning *)
   precheck_constants : bool;  (** always [true]; listed for transparency *)
   cases : Exclusivity.case list;
       (** per event set pattern, Sec. 4.4 — [Exclusive] predicts a
@@ -146,33 +144,16 @@ val effective_automaton : t -> Automaton.t -> Automaton.t
 
 (** {1 Incremental interface}
 
-    The planned execution as a push-based stream, implementing
-    {!Executor.EXECUTOR} — this is the "auto" strategy of the executor
-    registry: a {!Partitioned} stream (which embeds the plain-engine
-    fallback) running under the planned options. *)
+    The planned execution as a push-based stream — the "auto" strategy
+    of the executor registry: an {!Engine} stream running the effective
+    automaton under the planned options, fed through {!Engine.feed} and
+    its siblings. *)
 
-type stream
-
-val create : ?options:Engine.options -> Automaton.t -> stream
+val create : ?options:Engine.options -> Automaton.t -> Engine.stream
 (** Plans the automaton and opens the planned stream. *)
 
-val create_with : ?options:Engine.options -> t -> Automaton.t -> stream
+val create_with : ?options:Engine.options -> t -> Automaton.t -> Engine.stream
 (** Opens a stream under an already-computed plan. *)
-
-val plan_of : stream -> t
-
-val feed : stream -> Ses_event.Event.t -> Substitution.t list
-
-val feed_batch : stream -> Ses_event.Event.t array -> Substitution.t list
-(** Delegates to {!Partitioned.feed_batch} on the planned stream. *)
-
-val close : stream -> Substitution.t list
-
-val emitted : stream -> Substitution.t list
-
-val population : stream -> int
-
-val metrics : stream -> Metrics.snapshot
 
 (** {1 Batch interface} *)
 
@@ -182,7 +163,7 @@ val execute :
   Automaton.t ->
   Ses_event.Event.t Seq.t ->
   Engine.outcome
-(** Runs incrementally ([create_with] + feed + close) with the planned
+(** {!Engine.run} of the effective automaton with the planned
     levers layered onto [options]. *)
 
 val run : ?options:Engine.options -> Automaton.t -> Ses_event.Event.t Seq.t -> Engine.outcome

@@ -41,8 +41,8 @@ let relation rng spec =
    times at its own timestamp, each copy shifted into a disjoint
    entity-id range, so the relation grows [copies]-fold while each id's
    sub-stream keeps the base spec's shape — dense simultaneous arrivals
-   over many independent keys, the regime the batched and partitioned
-   paths target. Millions of events in well under a second. *)
+   over many independent keys, the regime the batched path and the
+   engine's key sub-buckets target. Millions of events in well under a second. *)
 let duplicated_relation rng ~copies spec =
   if copies < 1 then invalid_arg "Random_workload.duplicated_relation: copies < 1";
   let rows = ref [] in
@@ -139,9 +139,9 @@ let pattern rng spec =
   let id_joins =
     (* A complete ID-equality graph is redundant transitively, but
        condition attachment is syntactic and the completeness is what
-       makes the per-key partitioned evaluation applicable. A star (Q1's
-       shape) or a chain leaves bound join partners unjoined to each
-       other. The shape is drawn only when there is a choice, so a
+       pins every transition to the key, so that each state's instances
+       are probed per key. A star (Q1's shape) or a chain leaves bound
+       join partners unjoined to each other. The shape is drawn only when there is a choice, so a
        single-shape spec consumes the same randomness as before. *)
     if Prng.chance rng spec.p_id_join then
       let join a b = Pattern.Spec.fields a "ID" Predicate.Eq b "ID" in

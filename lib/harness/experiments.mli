@@ -58,9 +58,10 @@ val ablation_prune : config -> Report.t
     show how much of the paper's |Ω| can never match. *)
 
 val ablation_partition : config -> Report.t
-(** The running example's Q1 evaluated directly vs. per patient partition
-    (the ID-join conditions make partitions independent): time, peak |Ω|
-    and match count. *)
+(** The running example's Q1 (complete joins) evaluated directly — the
+    engine, whose key-indexed store walks one patient's instances per
+    event — vs. per patient store partition (the ID-join conditions make
+    partitions independent): time, peak |Ω| and match count. *)
 
 val sweep_set_size : config -> Report.t
 (** Beyond the paper: measured peak instance counts against the Theorem

@@ -21,9 +21,11 @@ val q1 : Pattern.t
 
 val q1_complete : Pattern.t
 (** Q1 with p as a singleton variable and the ID-join graph completed to
-    all six variable pairs, which makes {!Ses_core.Partitioned} applicable
-    (neither Q1's star-shaped joins nor its p+ loop allow it — see that
-    module's documentation). *)
+    all six variable pairs, which pins every transition to the ID, so
+    that the store partitions of the partition ablation are independent
+    and every state of the engine walks one patient's instances per
+    event (neither Q1's star-shaped joins nor its p+ loop allow that:
+    see {!Ses_core.Engine}). *)
 
 val exp1_exclusive : int -> Pattern.t
 (** [exp1_exclusive n] is P1 restricted to the first [n] of c,d,p,v,r,l

@@ -447,21 +447,32 @@ let to_string r =
     r;
   Buffer.contents buf
 
+let in_order ~row ~last ts =
+  if ts < last then
+    Error
+      (Printf.sprintf "row %d: timestamps out of order (%d after %d)" row ts
+         last)
+  else Ok ()
+
 let read_relation rd =
   match read_header rd with
   | Error _ as e -> e
   | Ok schema ->
       let row = row rd schema in
-      let rec rows acc idx =
+      let rec rows acc idx last =
         match next_record rd with
         | Error _ as e -> e
         | Ok false -> Relation.of_rows schema (List.rev acc)
         | Ok true -> (
             match decode row with
-            | Ok () -> rows ((payload row, ts row) :: acc) (idx + 1)
-            | Error msg -> Error (Printf.sprintf "row %d: %s" idx msg))
+            | Error msg -> Error (Printf.sprintf "row %d: %s" idx msg)
+            | Ok () -> (
+                let t = ts row in
+                match in_order ~row:idx ~last t with
+                | Error _ as e -> e
+                | Ok () -> rows ((payload row, t) :: acc) (idx + 1) t))
       in
-      rows [] 1
+      rows [] 1 min_int
 
 let of_string src = read_relation (reader_of_string src)
 

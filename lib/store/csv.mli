@@ -87,9 +87,15 @@ val schema_of_header : string -> (Schema.t, string) result
 
 val to_string : Relation.t -> string
 
+val in_order : row:int -> last:Time.t -> Time.t -> (unit, string) result
+(** [in_order ~row ~last t] is [Error "row N: timestamps out of order
+    (t after last)"] when [t < last]: the text every reader of a file
+    reports for a decreasing timestamp. *)
+
 val of_string : string -> (Relation.t, string) result
-(** Rows out of timestamp order are sorted (stably), as
-    {!Relation.of_rows} does. *)
+(** Rows must be in chronological order: a row whose timestamp is below
+    its predecessor's is an error ({!in_order}), as in a streamed
+    read. *)
 
 val save : string -> Relation.t -> (unit, string) result
 (** Writes to a file path. *)

@@ -74,21 +74,18 @@ let rec next_row src =
     | Ok true -> (
         match Csv.decode src.row with
         | Error msg -> Error (Printf.sprintf "row %d: %s" (src.seq + 1) msg)
-        | Ok () ->
+        | Ok () -> (
             let ts = Csv.ts src.row in
-            if ts < src.last_ts then
-              Error
-                (Printf.sprintf "row %d: timestamps out of order (%d after %d)"
-                   (src.seq + 1) ts src.last_ts)
-            else begin
-              src.last_ts <- ts;
-              src.seq <- src.seq + 1;
-              match src.filter with
-              | Some keep when not (keep src.row) ->
-                  src.dropped <- src.dropped + 1;
-                  next_row src
-              | Some _ | None -> Ok true
-            end)
+            match Csv.in_order ~row:(src.seq + 1) ~last:src.last_ts ts with
+            | Error _ as e -> e
+            | Ok () -> (
+                src.last_ts <- ts;
+                src.seq <- src.seq + 1;
+                match src.filter with
+                | Some keep when not (keep src.row) ->
+                    src.dropped <- src.dropped + 1;
+                    next_row src
+                | Some _ | None -> Ok true)))
 
 let current src = Csv.event src.row ~seq:(src.seq - 1)
 

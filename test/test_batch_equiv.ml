@@ -72,7 +72,7 @@ let equivalent reference batched =
    the default spec; the naive oracle is excluded here (its exhaustive
    enumeration is exponential in the 40-event relation) and covered by
    the deterministic fixture below instead. *)
-let strategies = [ `Plain; `Partitioned; `Auto; `Brute_force ]
+let strategies = [ `Plain; `Auto; `Brute_force ]
 
 let with_workload seed f =
   let rng = Prng.create (Int64.of_int seed) in
@@ -138,11 +138,12 @@ let chunk_emissions_equal_per_event =
           in
           List.for_all
             (fun strategy -> chunkings strategy 10)
-            [ `Plain; `Partitioned; `Auto ]))
+            [ `Plain; `Auto ]))
 
-(* Complete ID joins make most random patterns partitionable, so this
-   property drives [Partitioned]'s keyed layout: each chunk is split into
-   per-key sub-batches. *)
+(* Complete ID joins key every state that binds a variable, so this
+   property drives the engine's key-indexed sub-buckets: an event walks
+   only its key's instances, and instances of other keys whose window
+   closed mid-chunk wait for the chunk-end sweep. *)
 let keyed_batched_equals_per_event =
   QCheck.Test.make ~count:25 ~name:"keyed feed_batch = per-event"
     QCheck.(int_bound 100_000)
@@ -155,11 +156,13 @@ let keyed_batched_equals_per_event =
             Random_workload.p_id_join = 1.0;
           }
       in
-      let r = Random_workload.relation rng Random_workload.default_relation in
-      let reference = observe ~batch:None `Partitioned pat r in
+      let r =
+        Random_workload.relation rng
+          { Random_workload.default_relation with Random_workload.n_ids = 4 }
+      in
+      let reference = observe ~batch:None `Plain pat r in
       List.for_all
-        (fun b ->
-          equivalent reference (observe ~batch:(Some b) `Partitioned pat r))
+        (fun b -> equivalent reference (observe ~batch:(Some b) `Plain pat r))
         batch_grid)
 
 (* Dead-instance pruning never shows in the output: with it on and off,
@@ -206,7 +209,7 @@ let prune_on_equals_off =
                     Event_filter.[ No_filter; Paper; Strong ])
                 Substitution.[ Operational; Literal ])
             [ 1; 7; 64; 4096 ])
-        [ `Plain; `Partitioned; `Auto ])
+        [ `Plain; `Auto ])
 
 (* Deterministic fixture: an ID-pinned negation kill (id 2), a match
    completing before its kill event arrives (id 1), and a τ-expiry

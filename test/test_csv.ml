@@ -87,7 +87,14 @@ let test_bad_rows () =
   Alcotest.(check bool) "bad timestamp" true
     (Result.is_error (Csv.of_string "A:int,T\n1,xyz\n"));
   Alcotest.(check bool) "bad int" true
-    (Result.is_error (Csv.of_string "A:int,T\nfoo,3\n"))
+    (Result.is_error (Csv.of_string "A:int,T\nfoo,3\n"));
+  Alcotest.(check (result unit string))
+    "decreasing timestamp"
+    (Error "row 2: timestamps out of order (3 after 5)")
+    (Result.map ignore (Csv.of_string "A:int,T\n1,5\n2,3\n"));
+  Alcotest.(check (result int string))
+    "equal timestamps are in order" (Ok 2)
+    (Result.map Relation.cardinality (Csv.of_string "A:int,T\n1,5\n2,5\n"))
 
 let test_empty_relation () =
   let r = Relation.of_rows_exn Helpers.schema [] in

@@ -1,10 +1,14 @@
 (* Store-equivalence property tests: the state-indexed instance store
    must be observationally identical to the flat reference pool — same
    raw emissions, same finalized matches, same metrics — across the
-   option grid (constant pre-check on/off, both finalize policies). The
-   packed finalize pipeline is likewise checked against a direct
-   transcription of Definition 2's conditions 4-5. *)
+   option grid (constant pre-check on/off, both finalize policies), on
+   the default random workloads and on keyed ones, whose joins split
+   states into per-key sub-buckets. The packed finalize pipeline is
+   likewise checked against a direct transcription of Definition 2's
+   conditions 4-5. *)
 
+open Ses_event
+open Ses_pattern
 open Ses_core
 open Ses_gen
 
@@ -12,6 +16,53 @@ let with_workload seed f =
   let rng = Prng.create (Int64.of_int seed) in
   let pat = Random_workload.pattern rng Random_workload.default_pattern in
   let r = Random_workload.relation rng Random_workload.default_relation in
+  f pat r
+
+(* A two-set pattern whose guard NOT (x) arms at the set boundary, with
+   a star of ID joins from a (a group variable on half of the draws).
+   The guard is pinned (x.ID = a.ID) on half of the draws; unpinned, a
+   matching x of any key may kill, so its state cannot probe. *)
+let negation_pattern rng =
+  let label name =
+    Pattern.Spec.const name "L" Predicate.Eq
+      (Value.Str (Prng.pick rng [ "a"; "b"; "c" ]))
+  in
+  let join u w = Pattern.Spec.fields u "ID" Predicate.Eq w "ID" in
+  let a =
+    if Prng.bool rng then Variable.group "a" else Variable.singleton "a"
+  in
+  Pattern.make_full_exn ~schema:Random_workload.schema
+    ~sets:[ [ a; Variable.singleton "c" ]; [ Variable.singleton "b" ] ]
+    ~negations:[ (0, Variable.singleton "x") ]
+    ~where:
+      ([ label "a"; label "b"; label "c"; label "x" ]
+      @ [ join "a" "b"; join "a" "c" ]
+      @ if Prng.bool rng then [ join "x" "a" ] else [])
+    ~within:(5 + Prng.int rng 16)
+
+(* Keyed workloads: ID joins of every shape and group variables, over
+   four ids so that most states hold several keys; a third of the draws
+   carry a negation guard. *)
+let with_keyed_workload seed f =
+  let rng = Prng.create (Int64.of_int seed) in
+  let pat =
+    if Prng.int rng 3 = 0 then negation_pattern rng
+    else
+      Random_workload.pattern rng
+        {
+          Random_workload.default_pattern with
+          Random_workload.p_id_join = 1.0;
+          join_shapes = Random_workload.[ Complete; Star; Chain ];
+        }
+  in
+  let r =
+    Random_workload.relation rng
+      {
+        Random_workload.default_relation with
+        Random_workload.n_events = 60;
+        n_ids = 4;
+      }
+  in
   f pat r
 
 let canon_sorted substs =
@@ -43,11 +94,11 @@ let grid =
    sorted list of canonical forms: the indexed store visits states in
    bucket order, so within-event emission order may differ, but the set
    of emissions may not. *)
-let stores_agree_on_output =
-  QCheck.Test.make ~count:120 ~name:"indexed store output = flat store output"
+let stores_agree_on_output ~name workload =
+  QCheck.Test.make ~count:120 ~name
     QCheck.(int_bound 100_000)
     (fun seed ->
-      with_workload seed (fun pat r ->
+      workload seed (fun pat r ->
           let automaton = Automaton.of_pattern pat in
           List.for_all
             (fun (precheck, policy) ->
@@ -60,15 +111,17 @@ let stores_agree_on_output =
                  = canon_sorted idx.Engine.matches)
             grid))
 
-(* The runtime counters agree as well: bucket skipping only ever avoids
-   work the flat scan would not have recorded (states with no candidate
-   transitions fire nothing), so every counter — including max |Ω| —
-   must be bit-identical. *)
-let stores_agree_on_metrics =
-  QCheck.Test.make ~count:120 ~name:"indexed store metrics = flat store metrics"
+(* The runtime counters agree as well: bucket skipping and key probes
+   only ever avoid work the flat scan would not have recorded (states
+   with no candidate transitions fire nothing, and instances of another
+   key can neither fire a pinned transition nor be killed by a pinned
+   guard), so every counter — including max |Ω| — must be
+   bit-identical. *)
+let stores_agree_on_metrics ~name workload =
+  QCheck.Test.make ~count:120 ~name
     QCheck.(int_bound 100_000)
     (fun seed ->
-      with_workload seed (fun pat r ->
+      workload seed (fun pat r ->
           let automaton = Automaton.of_pattern pat in
           List.for_all
             (fun (precheck, policy) ->
@@ -78,6 +131,31 @@ let stores_agree_on_metrics =
               in
               flat.Engine.metrics = idx.Engine.metrics)
             grid))
+
+(* The batched path probes the same sub-buckets, with expiry fused into
+   the walk and swept at chunk end: against the per-event run, the same
+   raw multiset, the same matches and the same expiry count. *)
+let keyed_batches_agree =
+  QCheck.Test.make ~count:60 ~name:"keyed batches = per-event keyed run"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      with_keyed_workload seed (fun pat r ->
+          let automaton = Automaton.of_pattern pat in
+          let per_event = Engine.run_relation automaton r in
+          List.for_all
+            (fun batch_size ->
+              let batched =
+                Executor.run_relation
+                  ~options:{ Engine.default_options with Engine.batch_size }
+                  `Plain automaton r
+              in
+              canon_sorted per_event.Engine.raw
+              = canon_sorted batched.Engine.raw
+              && List.map Substitution.canonical per_event.Engine.matches
+                 = List.map Substitution.canonical batched.Engine.matches
+              && per_event.Engine.metrics.Metrics.instances_expired
+                 = batched.Engine.metrics.Metrics.instances_expired)
+            [ 1; 7; 64 ]))
 
 (* Direct transcription of finalize: dedup by canonical form, apply
    Definition 2's conditions 4-5 pair by pair, sort. Each candidate's
@@ -257,8 +335,10 @@ let population_counter_consistent =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      stores_agree_on_output;
-      stores_agree_on_metrics;
+      stores_agree_on_output ~name:"indexed store output = flat store output"
+        with_workload;
+      stores_agree_on_metrics
+        ~name:"indexed store metrics = flat store metrics" with_workload;
       finalize_matches_reference;
       finalize_ignores_input_order;
       population_counter_consistent;
@@ -267,3 +347,11 @@ let suite =
       Alcotest.test_case "case 3 finalize = reference" `Quick
         finalize_case3_matches_reference;
     ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        stores_agree_on_output ~name:"keyed store output = flat store output"
+          with_keyed_workload;
+        stores_agree_on_metrics
+          ~name:"keyed store metrics = flat store metrics" with_keyed_workload;
+        keyed_batches_agree;
+      ]

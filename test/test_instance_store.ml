@@ -12,22 +12,25 @@ let q1 = Varset.singleton 0
 
 let q2 = Varset.of_list [ 0; 1 ]
 
+let h = Instance_store.handle
+
 let fill st items =
-  List.iter (fun ((_, _) as i, q) -> Instance_store.stage st q i) items;
+  List.iter (fun ((_, _) as i, q) -> Instance_store.stage (h st q) i) items;
   Instance_store.commit st
 
 let test_size_tracking () =
   let st = make () in
   Alcotest.(check int) "empty" 0 (Instance_store.size st);
-  Instance_store.stage st q1 (0, 1);
+  Instance_store.stage (h st q1) (0, 1);
   Alcotest.(check int) "staged is invisible" 0 (Instance_store.size st);
   Instance_store.commit st;
   Alcotest.(check int) "committed" 1 (Instance_store.size st);
   fill st [ ((1, 2), q1); ((0, 3), q2) ];
   Alcotest.(check int) "three total" 3 (Instance_store.size st);
-  Alcotest.(check int) "bucket q1" 2 (Instance_store.bucket_size st q1);
-  Alcotest.(check int) "bucket q2" 1 (Instance_store.bucket_size st q2);
-  Alcotest.(check int) "bucket q0 empty" 0 (Instance_store.bucket_size st q0);
+  Alcotest.(check int) "bucket q1" 2 (Instance_store.handle_size (h st q1));
+  Alcotest.(check int) "bucket q2" 1 (Instance_store.handle_size (h st q2));
+  Alcotest.(check int) "bucket q0 empty" 0
+    (Instance_store.handle_size (h st q0));
   Instance_store.clear st;
   Alcotest.(check int) "cleared" 0 (Instance_store.size st)
 
@@ -38,7 +41,7 @@ let test_bucket_order () =
   Alcotest.(check (list (pair int int)))
     "sorted by (ts, seq)"
     [ (0, 4); (1, 2); (5, 1); (5, 3) ]
-    (Instance_store.take_all st q1);
+    (Instance_store.take_all (h st q1));
   Alcotest.(check int) "take_all drains" 0 (Instance_store.size st)
 
 let test_commit_merges_into_existing () =
@@ -48,17 +51,17 @@ let test_commit_merges_into_existing () =
   Alcotest.(check (list (pair int int)))
     "interleaved merge"
     [ (0, 3); (1, 1); (3, 4); (5, 2); (9, 5) ]
-    (Instance_store.take_all st q1)
+    (Instance_store.take_all (h st q1))
 
 let test_pop_expired_prefix () =
   let st = make () in
   fill st [ ((0, 1), q1); ((2, 2), q1); ((4, 3), q1); ((6, 4), q1) ];
-  let dead = Instance_store.pop_expired st q1 ~expired:(fun (ts, _) -> ts < 4) in
+  let dead = Instance_store.pop_expired (h st q1) ~expired:(fun (ts, _) -> ts < 4) in
   Alcotest.(check (list (pair int int))) "expired prefix" [ (0, 1); (2, 2) ] dead;
   Alcotest.(check int) "survivors stay" 2 (Instance_store.size st);
-  let none = Instance_store.pop_expired st q1 ~expired:(fun _ -> false) in
+  let none = Instance_store.pop_expired (h st q1) ~expired:(fun _ -> false) in
   Alcotest.(check (list (pair int int))) "nothing expired" [] none;
-  let rest = Instance_store.pop_expired st q1 ~expired:(fun _ -> true) in
+  let rest = Instance_store.pop_expired (h st q1) ~expired:(fun _ -> true) in
   Alcotest.(check (list (pair int int)))
     "rest expires in order" [ (4, 3); (6, 4) ] rest;
   Alcotest.(check int) "empty again" 0 (Instance_store.size st)
@@ -66,13 +69,13 @@ let test_pop_expired_prefix () =
 let test_take_all_put_back () =
   let st = make () in
   fill st [ ((0, 1), q1); ((2, 2), q1); ((4, 3), q1) ];
-  let items = Instance_store.take_all st q1 in
+  let items = Instance_store.take_all (h st q1) in
   let survivors = List.filter (fun (_, s) -> s <> 2) items in
-  Instance_store.put_back st q1 survivors;
+  Instance_store.put_back (h st q1) survivors;
   Alcotest.(check int) "two back" 2 (Instance_store.size st);
   Alcotest.(check (list (pair int int)))
     "order preserved" [ (0, 1); (4, 3) ]
-    (Instance_store.take_all st q1)
+    (Instance_store.take_all (h st q1))
 
 let test_fold_buckets_order () =
   let st = make () in

@@ -1,5 +1,4 @@
-(* Merge semantics of the runtime counters: per-key pools sum
-   everything except the instance peak (max), replicated executors agree
+(* Merge semantics of the runtime counters: replicated executors agree
    on the input counters (max) and sum the work side including the
    peaks. *)
 
@@ -33,29 +32,6 @@ let b =
     matches_emitted = 2;
   }
 
-let test_merge_sums_and_max () =
-  let m = Metrics.merge [ a; b ] in
-  Alcotest.(check int) "events_seen sums" 16 m.Metrics.events_seen;
-  Alcotest.(check int) "events_filtered sums" 4 m.Metrics.events_filtered;
-  Alcotest.(check int) "instances_created sums" 9 m.Metrics.instances_created;
-  Alcotest.(check int) "transitions_fired sums" 28 m.Metrics.transitions_fired;
-  Alcotest.(check int) "instances_expired sums" 2 m.Metrics.instances_expired;
-  Alcotest.(check int) "instances_killed sums" 4 m.Metrics.instances_killed;
-  Alcotest.(check int) "instances_pruned sums" 11 m.Metrics.instances_pruned;
-  Alcotest.(check int) "matches_emitted sums" 6 m.Metrics.matches_emitted;
-  (* The one non-additive counter: pool peaks need not coincide in
-     time, so the merge takes the max. *)
-  Alcotest.(check int) "max_simultaneous_instances is a max" 9
-    m.Metrics.max_simultaneous_instances
-
-let test_merge_identity () =
-  Alcotest.check snapshot "merge [] = zero" Metrics.zero (Metrics.merge []);
-  Alcotest.check snapshot "merge of one snapshot is itself" a
-    (Metrics.merge [ a ]);
-  Alcotest.check snapshot "merge is order-insensitive"
-    (Metrics.merge [ a; b ])
-    (Metrics.merge [ b; a ])
-
 let test_merge_replicas () =
   let m = Metrics.merge_replicas [ a; b ] in
   (* Replicas each consume the whole input, so the input counters agree
@@ -81,9 +57,6 @@ let test_merge_replicas_identity () =
 
 let suite =
   [
-    Alcotest.test_case "merge: sums with max peak" `Quick
-      test_merge_sums_and_max;
-    Alcotest.test_case "merge: identities" `Quick test_merge_identity;
     Alcotest.test_case "merge_replicas: max inputs, summed work" `Quick
       test_merge_replicas;
     Alcotest.test_case "merge_replicas: identities" `Quick

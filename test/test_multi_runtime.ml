@@ -420,7 +420,7 @@ let runtime_registration_differential =
             ( Printf.sprintf "q%d" i,
               Automaton.of_pattern
                 (Random_workload.pattern rng Random_workload.default_pattern),
-              Prng.pick rng [ `Plain; `Auto; `Partitioned ] ))
+              Prng.pick rng [ `Plain; `Auto ] ))
       in
       let t = Multi.create_mixed ~options [] in
       let live = ref [] (* name -> first event index *) and lifetimes = ref [] in

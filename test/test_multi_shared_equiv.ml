@@ -259,7 +259,7 @@ let random_queries rng =
   in
   let family = List.init family_size member in
   let ender = ("fam-end", mk ~within [ [ v "p" ] ] [ label "p" l0 ], `Plain) in
-  let rand_strategy = Prng.pick rng [ `Plain; `Auto; `Partitioned ] in
+  let rand_strategy = Prng.pick rng [ `Plain; `Auto ] in
   let rand =
     ( "rand",
       Automaton.of_pattern

@@ -167,27 +167,6 @@ let test_brute_force_agreement () =
   check (rel_l [ ("c", 0); ("a", 1); ("x", 2); ("b", 3) ]);
   check (rel_l [ ("a", 0); ("x", 1); ("c", 2); ("b", 3) ])
 
-let test_partitioning_requires_pinned_guard () =
-  let joined extra_guard =
-    Pattern.make_full_exn ~schema:Helpers.schema
-      ~sets:[ [ v "a" ]; [ v "b" ] ]
-      ~negations:[ (0, v "x") ]
-      ~where:
-        ([
-           label "a" "a";
-           label "b" "b";
-           label "x" "x";
-           Pattern.Spec.fields "a" "ID" Predicate.Eq "b" "ID";
-         ]
-        @ extra_guard)
-      ~within:20
-  in
-  let key p = Partitioned.partition_key (Automaton.of_pattern p) in
-  Alcotest.(check bool) "unpinned guard blocks partitioning" true
-    (key (joined []) = None);
-  Alcotest.(check bool) "pinned guard allows it" true
-    (key (joined [ Pattern.Spec.fields "x" "ID" Predicate.Eq "a" "ID" ]) <> None)
-
 let test_lang_not_groups () =
   let p =
     Ses_lang.Lang.parse_pattern_exn Helpers.schema
@@ -312,8 +291,6 @@ let suite =
       test_filter_keeps_forbidden_events;
     Alcotest.test_case "naive oracle agreement" `Quick test_naive_agreement;
     Alcotest.test_case "brute force agreement" `Quick test_brute_force_agreement;
-    Alcotest.test_case "partitioning requires pinned guards" `Quick
-      test_partitioning_requires_pinned_guard;
     Alcotest.test_case "language NOT groups" `Quick test_lang_not_groups;
     Alcotest.test_case "trailing guard" `Quick test_trailing_guard_kills;
     Alcotest.test_case "trailing guard oracle" `Quick test_trailing_guard_oracle;

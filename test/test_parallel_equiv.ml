@@ -1,26 +1,20 @@
-(* Equivalence properties of the two layouts that split one run: the
-   key-sharded Partitioned executor (one engine pool per partition key,
-   all on the calling domain) against the plain engine, and
-   domain-parallel Multi against sequential Multi. Each must be
-   observationally identical to its reference — same finalized matches
-   (in order), same raw emissions (as a multiset), and metrics that
-   agree on every counter except the two lazy-accounting ones (see
-   [invariant] below). The merged cross-query metrics of Multi are
-   identical at every domain count.
+(* Equivalence of domain-parallel Multi against sequential Multi: the
+   two must be observationally identical — same finalized matches (in
+   order), same raw emissions (as a multiset), and metrics that agree on
+   every counter except the two lazy-accounting ones (see [invariant]
+   below). The merged cross-query metrics of Multi are identical at
+   every domain count.
 
    The default random-relation spec already exercises τ-expiry (gaps of
    up to several time units against τ ∈ [5, 20]). *)
 
 open Ses_event
-open Ses_pattern
 open Ses_core
 open Ses_gen
 open Helpers
 
-(* Every pair of variables gets an ID equality: the complete join graph
-   pins all transitions to the ID field, so patterns with at least two
-   variables and no group variable are partitionable and the keyed path
-   actually runs. q3 below draws from this spec too. *)
+(* Every pair of variables gets an ID equality, so q3 below keys the
+   engine's states by ID. *)
 let part_spec =
   { Random_workload.default_pattern with Random_workload.p_id_join = 1.0 }
 
@@ -37,7 +31,6 @@ let canon_sorted substs =
 (* The counters compared by equality. [max_simultaneous_instances] and
    [instances_expired] depend on when expiry sweeps run, so they are
    compared by inequality instead: see
-   [sharded_metrics_merge_to_sequential] and
    [multi_parallel_equals_sequential]. *)
 let invariant (m : Metrics.snapshot) =
   {
@@ -45,54 +38,6 @@ let invariant (m : Metrics.snapshot) =
     Metrics.max_simultaneous_instances = 0;
     Metrics.instances_expired = 0;
   }
-
-(* Group variables are the exception: the group-loop transition binds a
-   further event while only the group variable itself is bound, and no
-   reflexive ID condition exists to pin it, so those patterns correctly
-   fall back to the unpartitioned engine. *)
-let generator_is_partitionable =
-  QCheck.Test.make ~count:60
-    ~name:"complete ID-join patterns are partitionable"
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      with_workload seed (fun pat _ ->
-          Pattern.n_vars pat < 2
-          || Pattern.group_vars pat <> []
-          || Partitioned.partition_key (Automaton.of_pattern pat) <> None))
-
-(* Finalize sorts by (min timestamp, canonical form), so the match
-   lists agree element by element, not just as sets. Raw emission order
-   differs across layouts. *)
-let sharded_output_equals_sequential =
-  QCheck.Test.make ~count:60
-    ~name:"sharded partitioned output = sequential output"
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      with_workload seed (fun pat r ->
-          let automaton = Automaton.of_pattern pat in
-          let seq = Engine.run_relation automaton r in
-          let par = Partitioned.run_relation automaton r in
-          canon par.Engine.matches = canon seq.Engine.matches
-          && canon_sorted par.Engine.raw = canon_sorted seq.Engine.raw))
-
-(* Per-key pools split one input, so their summed counters equal the
-   engine's. [instances_expired] is lazy-scan accounting: the plain
-   engine collects τ-expired instances whenever any event advances time,
-   while a per-key pool only scans when one of its own key's events
-   arrives — instances that linger unscanned until close are enforced
-   as expired (they never fire) but not counted. *)
-let sharded_metrics_merge_to_sequential =
-  QCheck.Test.make ~count:60
-    ~name:"sharded merged metrics = sequential metrics (summed counters)"
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      with_workload seed (fun pat r ->
-          let automaton = Automaton.of_pattern pat in
-          let seq = Engine.run_relation automaton r in
-          let par = Partitioned.run_relation automaton r in
-          invariant par.Engine.metrics = invariant seq.Engine.metrics
-          && par.Engine.metrics.Metrics.instances_expired
-             <= seq.Engine.metrics.Metrics.instances_expired))
 
 let multi_parallel_equals_sequential =
   QCheck.Test.make ~count:40 ~name:"parallel multi = sequential multi"
@@ -168,9 +113,6 @@ let test_multi_merged_metrics () =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      generator_is_partitionable;
-      sharded_output_equals_sequential;
-      sharded_metrics_merge_to_sequential;
       multi_parallel_equals_sequential;
     ]
   @ [

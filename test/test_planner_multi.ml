@@ -7,8 +7,6 @@ let test_plan_q1 () =
   let plan = Planner.plan (Automaton.of_pattern query_q1) in
   Alcotest.(check bool) "strong filter chosen" true
     (plan.Planner.filter = Event_filter.Strong);
-  Alcotest.(check bool) "no partition for star joins" true
-    (plan.Planner.partition = None);
   Alcotest.(check bool) "precheck on" true plan.Planner.precheck_constants;
   Alcotest.(check int) "two cases" 2 (List.length plan.Planner.cases);
   Alcotest.(check bool) "describe" true
@@ -20,22 +18,6 @@ let test_plan_unconstrained () =
   let plan = Planner.plan (Automaton.of_pattern p) in
   Alcotest.(check bool) "no filter" true
     (plan.Planner.filter = Event_filter.No_filter)
-
-let test_plan_partitionable () =
-  let p =
-    pattern ~within:10
-      [ [ v "a" ]; [ v "b" ] ]
-      ~where:
-        [
-          label "a" "x";
-          label "b" "y";
-          Ses_pattern.Pattern.Spec.fields "a" "ID" Ses_event.Predicate.Eq "b" "ID";
-        ]
-  in
-  let automaton = Automaton.of_pattern p in
-  let plan = Planner.plan automaton in
-  Alcotest.(check bool) "partition key found" true
-    (plan.Planner.partition <> None)
 
 let test_planner_run_equals_engine () =
   let automaton = Automaton.of_pattern query_q1 in
@@ -125,7 +107,6 @@ let suite =
   [
     Alcotest.test_case "plan for Q1" `Quick test_plan_q1;
     Alcotest.test_case "plan without constants" `Quick test_plan_unconstrained;
-    Alcotest.test_case "plan with partition key" `Quick test_plan_partitionable;
     Alcotest.test_case "planner = engine on Figure 1" `Quick
       test_planner_run_equals_engine;
     QCheck_alcotest.to_alcotest planner_transparent;
