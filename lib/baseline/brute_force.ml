@@ -109,53 +109,38 @@ let fresh st substs =
       end)
     substs
 
+(* One step of every chain: its completions retargeted to the original
+   pattern's variable ids and deduplicated across chains. *)
+let across st step =
+  fresh st
+    (List.concat_map
+       (fun (dp, engine) ->
+         List.map (retarget ~original:st.pattern ~derived:dp) (step engine))
+       st.streams)
+
+let population st =
+  List.fold_left (fun acc (_, s) -> acc + Engine.population s) 0 st.streams
+
 let feed st e =
-  let completed =
-    List.concat_map
-      (fun (dp, engine) ->
-        List.map
-          (retarget ~original:st.pattern ~derived:dp)
-          (Engine.feed engine e))
-      st.streams
-  in
-  let total =
-    List.fold_left (fun acc (_, s) -> acc + Engine.population s) 0 st.streams
-  in
-  if total > st.max_total then st.max_total <- total;
-  fresh st completed
+  let completed = across st (fun engine -> Engine.feed engine e) in
+  st.max_total <- max st.max_total (population st);
+  completed
 
 (* Each chain consumes the whole chunk through the engine's batched
    path; the cross-chain population peak is then sampled once per batch
    (a lower bound on the per-event peak, like the other batched
    executors). *)
 let feed_batch st es =
-  let completed =
-    List.concat_map
-      (fun (dp, engine) ->
-        List.map
-          (retarget ~original:st.pattern ~derived:dp)
-          (Engine.feed_batch engine es))
-      st.streams
-  in
-  let total =
-    List.fold_left (fun acc (_, s) -> acc + Engine.population s) 0 st.streams
-  in
-  if total > st.max_total then st.max_total <- total;
-  fresh st completed
+  let completed = across st (fun engine -> Engine.feed_batch engine es) in
+  st.max_total <- max st.max_total (population st);
+  completed
 
-let close st =
-  fresh st
-    (List.concat_map
-       (fun (dp, engine) ->
-         List.map
-           (retarget ~original:st.pattern ~derived:dp)
-           (Engine.close engine))
-       st.streams)
+(* Time only shrinks the chains' populations: no peak to sample. *)
+let advance st ts = across st (fun engine -> Engine.advance engine ts)
+
+let close st = across st Engine.close
 
 let emitted st = List.rev st.emissions
-
-let population st =
-  List.fold_left (fun acc (_, s) -> acc + Engine.population s) 0 st.streams
 
 let metrics st =
   let summed =
@@ -194,6 +179,8 @@ module Exec = struct
   let feed = feed
 
   let feed_batch = feed_batch
+
+  let advance = advance
 
   let close = close
 

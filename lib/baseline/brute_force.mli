@@ -82,6 +82,10 @@ val feed_batch : stream -> Event.t array -> Substitution.t list
     {!Engine.feed_batch}; completions are retargeted and deduplicated as
     in {!feed}, grouped by chain within the chunk. *)
 
+val advance : stream -> Time.t -> Substitution.t list
+(** Advances every chain's clock ({!Engine.advance}); completions are
+    retargeted and deduplicated as in {!feed}. *)
+
 val close : stream -> Substitution.t list
 
 val emitted : stream -> Substitution.t list

@@ -465,8 +465,9 @@ let observe_expired st e ~accepting inst =
 
 let is_fresh inst = inst.bindings = []
 
-let expired tau inst e =
-  (not (is_fresh inst)) && Time.span (Event.ts e) inst.first_ts > tau
+(* Whether [inst]'s window has closed by time [ts]. *)
+let expired tau inst ts =
+  (not (is_fresh inst)) && Time.span ts inst.first_ts > tau
 
 let const_holds c e =
   (* Constant conditions mention exactly one variable; binding it to [e]
@@ -713,7 +714,7 @@ let feed_flat st o e =
   in
   List.iter
     (fun inst ->
-      if expired tau inst e then begin
+      if expired tau inst (Event.ts e) then begin
         Metrics.on_expired st.m;
         let accepting =
           Varset.equal inst.state accept && minima_satisfied st inst
@@ -766,7 +767,7 @@ let feed_indexed st store e =
         in
         let dead =
           Instance_store.pop_expired bucket ~expired:(fun inst ->
-              expired tau inst e)
+              expired tau inst (Event.ts e))
         in
         (match st.probes with
         | None -> ()
@@ -825,14 +826,70 @@ let ingest_kept st e =
   | Omega o -> feed_flat st o e
   | Store s -> feed_indexed st s e
 
+(* The engine's clock: every instance whose window has closed by [ts]
+   leaves the pool, and the accepting ones are emitted. The indexed
+   store pops each bucket's expired prefix, a keyed state across its
+   sub-buckets through their heap; the flat pool filters its list.
+   [event] is the event [ts] was read off, narrated with each [Expired];
+   an [advance] has none and narrates no [Expired]. Timed under the
+   [expiry] span; an empty pool costs nothing. *)
+let sweep st ?event ts =
+  let tau = Automaton.tau st.automaton in
+  let completed = ref [] in
+  let drop ~accepting inst =
+    Metrics.on_expired st.m;
+    let accepting = accepting && minima_satisfied st inst in
+    Option.iter (fun e -> observe_expired st e ~accepting inst) event;
+    if accepting then completed := emit st inst :: !completed
+  in
+  let run () =
+    match st.pop with
+    | Omega o ->
+        let accept = Automaton.accept st.automaton in
+        o.omega <-
+          List.filter
+            (fun inst ->
+              if expired tau inst ts then begin
+                drop ~accepting:(Varset.equal inst.state accept) inst;
+                false
+              end
+              else true)
+            o.omega
+    | Store _ ->
+        Array.iter
+          (fun slot ->
+            let bucket = bucket_of slot in
+            if Instance_store.handle_size bucket > 0 then
+              List.iter (drop ~accepting:slot.accepting)
+                (Instance_store.pop_expired bucket ~expired:(fun inst ->
+                     expired tau inst ts)))
+          st.slots
+  in
+  let empty =
+    match st.pop with
+    | Omega o -> o.omega = []
+    | Store s -> Instance_store.size s = 0
+  in
+  (if not empty then
+     match st.probes with
+     | None -> run ()
+     | Some p -> Telemetry.Span.record p.expiry_span run);
+  List.rev !completed
+
 let out_of_order = "Engine.feed: events out of chronological order"
 
-let feed st e =
+(* Reads [ts] into the clock; raises on a timestamp before the last. *)
+let tick st ts =
   (match st.last_ts with
-  | Some t when Time.( <. ) (Event.ts e) t -> invalid_arg out_of_order
+  | Some t when Time.( <. ) ts t -> invalid_arg out_of_order
   | Some _ | None -> ());
-  st.last_ts <- Some (Event.ts e);
-  Metrics.on_event st.m;
+  st.last_ts <- Some ts
+
+(* One event past the clock check: a kept event enters the pool, a
+   dropped one only sweeps the pool to its timestamp — what the event
+   does there unfiltered, since it can neither fire a transition nor
+   kill an instance. *)
+let ingest st e =
   let kept =
     match st.probes with
     | None -> Event_filter.keep st.filter e
@@ -842,25 +899,35 @@ let feed st e =
         Telemetry.Span.stop p.filter_span tok;
         kept
   in
-  if not kept then begin
+  if kept then ingest_kept st e
+  else begin
     Metrics.on_filtered st.m;
-    []
+    sweep st ~event:e (Event.ts e)
   end
-  else ingest_kept st e
+
+let feed st e =
+  tick st (Event.ts e);
+  Metrics.on_event st.m;
+  ingest st e
+
+let advance st ts =
+  tick st ts;
+  sweep st ts
 
 (* The batched loop over the indexed store. Semantics are those of
    feeding the events one by one, with two amortizations that are
    invisible to the (multiset of) emissions and finalized matches:
 
-   - τ-expiry prefixes are popped once per batch, at its end, against
-     the last kept event, instead of once per nonempty bucket per event.
-     An instance whose window closes mid-batch is caught by the fused
-     expiry check the moment its bucket is scanned — so it can never
-     consume an event — and otherwise by the closing sweep. Either way
-     it is emitted within the batch whose event closed its window, as
-     the one-by-one feed does: each chunk returns the same multiset of
-     emissions and counts the same expiries. Only the *position* of an
-     expiry emission within the chunk's raw list can differ.
+   - τ-expiry prefixes are popped once per batch, at its end, by a
+     sweep to the chunk's last timestamp (its last event, kept or not),
+     instead of once per nonempty bucket per event. An instance whose
+     window closes mid-batch is caught by the fused expiry check the
+     moment its bucket is scanned — so it can never consume an event —
+     and otherwise by the closing sweep. Either way it is emitted within
+     the batch whose event closed its window, as the one-by-one feed
+     does: each chunk returns the same multiset of emissions and counts
+     the same expiries. Only the *position* of an expiry emission within
+     the chunk's raw list can differ.
 
    - telemetry records per batch: one expiry span for the sweep, one
      transition span covering the whole kept loop (every event's bucket
@@ -869,7 +936,7 @@ let feed st e =
    The per-event [feed] above remains the reference ordering; [feed_batch]
    falls back to it while an observer is installed so narration order
    stays exact. *)
-let feed_indexed_batch st store kept n_kept =
+let feed_indexed_batch st store kept n_kept ~last =
   let tau = Automaton.tau st.automaton in
   let completed = ref [] in
   let emit_expired e slot inst =
@@ -907,10 +974,10 @@ let feed_indexed_batch st store kept n_kept =
           if Option.is_some key then
             List.iter (emit_expired e slot)
               (Instance_store.pop_expired bucket ~expired:(fun inst ->
-                   expired tau inst e));
+                   expired tau inst (Event.ts e)));
           let walked =
             Instance_store.walk bucket key (fun inst ->
-                if expired tau inst e then begin
+                if expired tau inst (Event.ts e) then begin
                   (* Fused expiry: the window closed mid-batch; emit (if
                      accepting) and drop before it can consume. *)
                   emit_expired e slot inst;
@@ -929,28 +996,14 @@ let feed_indexed_batch st store kept n_kept =
   (match st.probes with
   | None -> ()
   | Some p -> Telemetry.Span.stop p.transition_span tok);
-  (* Batch-end expiry sweep: one prefix pop per nonempty bucket, against
-     the last kept event — what the one-by-one feed has expired by then. *)
-  let last = kept.(n_kept - 1) in
-  let tok =
-    match st.probes with
-    | None -> 0
-    | Some p -> Telemetry.Span.start p.expiry_span
-  in
-  Array.iter
-    (fun slot ->
-      let bucket = bucket_of slot in
-      if Instance_store.handle_size bucket > 0 then
-        List.iter (emit_expired last slot)
-          (Instance_store.pop_expired bucket ~expired:(fun inst ->
-               expired tau inst last)))
-    st.slots;
+  (* Batch-end expiry sweep: what the one-by-one feed has expired by the
+     chunk's last event, kept or not. *)
+  let swept = sweep st last in
   (match st.probes with
   | None -> ()
   | Some p ->
-      Telemetry.Span.stop p.expiry_span tok;
       Telemetry.Gauge.observe p.population_gauge (Instance_store.size store));
-  List.rev !completed
+  List.rev_append !completed swept
 
 let feed_batch st events =
   let n = Array.length events in
@@ -964,49 +1017,44 @@ let feed_batch st events =
       if Time.( <. ) (Event.ts events.(i)) (Event.ts events.(i - 1)) then
         invalid_arg out_of_order
     done;
-    st.last_ts <- Some (Event.ts events.(n - 1));
+    let last = Event.ts events.(n - 1) in
+    st.last_ts <- Some last;
     Metrics.on_events st.m n;
-    (* Batch filter pass: one span covers the chunk, and a trivial filter
-       costs nothing at all. *)
-    let kept, n_kept =
-      match st.options.filter with
-      | Event_filter.No_filter -> (events, n)
-      | Event_filter.Paper | Event_filter.Strong ->
-          if Array.length st.filter_buf < n then
-            st.filter_buf <- Array.make n events.(0);
-          let buf = st.filter_buf in
-          let k = ref 0 in
-          let run () =
-            Array.iter
-              (fun e ->
-                if Event_filter.keep st.filter e then begin
-                  buf.(!k) <- e;
-                  incr k
-                end)
-              events
-          in
-          (match st.probes with
-          | None -> run ()
-          | Some p ->
-              let tok = Telemetry.Span.start p.filter_span in
-              run ();
-              Telemetry.Span.stop p.filter_span tok);
-          (buf, !k)
-    in
-    Metrics.on_filtered_many st.m (n - n_kept);
-    if n_kept = 0 then []
-    else
-      match st.pop with
-      | Store s when st.observer = None ->
-          feed_indexed_batch st s kept n_kept
-      | Store _ | Omega _ ->
-          (* Reference orderings (flat pool, or an installed observer):
-             process the chunk event by event. *)
-          let acc = ref [] in
-          for i = 0 to n_kept - 1 do
-            acc := List.rev_append (ingest_kept st kept.(i)) !acc
-          done;
-          List.rev !acc
+    match st.pop with
+    | Store s when st.observer = None ->
+        (* Batch filter pass: one span covers the chunk, and a trivial
+           filter costs nothing at all. *)
+        let kept, n_kept =
+          match st.options.filter with
+          | Event_filter.No_filter -> (events, n)
+          | Event_filter.Paper | Event_filter.Strong ->
+              if Array.length st.filter_buf < n then
+                st.filter_buf <- Array.make n events.(0);
+              let buf = st.filter_buf in
+              let k = ref 0 in
+              let run () =
+                Array.iter
+                  (fun e ->
+                    if Event_filter.keep st.filter e then begin
+                      buf.(!k) <- e;
+                      incr k
+                    end)
+                  events
+              in
+              (match st.probes with
+              | None -> run ()
+              | Some p -> Telemetry.Span.record p.filter_span run);
+              (buf, !k)
+        in
+        Metrics.on_filtered_many st.m (n - n_kept);
+        if n_kept = 0 then sweep st last
+        else feed_indexed_batch st s kept n_kept ~last
+    | Store _ | Omega _ ->
+        (* Reference orderings (flat pool, or an installed observer):
+           the per-event feed, event by event. *)
+        let acc = ref [] in
+        Array.iter (fun e -> acc := List.rev_append (ingest st e) !acc) events;
+        List.rev !acc
   end
 
 let close st =

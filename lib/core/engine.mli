@@ -168,7 +168,16 @@ val run_relation : ?options:options -> Automaton.t -> Relation.t -> outcome
     The push-based view of the same loop, for callers that receive events
     one at a time. [feed] returns the substitutions whose instances expired
     on this event (raw, not finalized — finalization needs the whole
-    candidate set); [close] flushes accepting instances. *)
+    candidate set); [close] flushes accepting instances.
+
+    {b The clock.} A stream's notion of time is every timestamp it is
+    given: every event fed, whether its filter keeps it or drops it, and
+    every {!advance}. An instance whose window has closed by that time
+    is expired, and emitted when it is accepting. So a filter never
+    delays an emission: an event the filter drops still closes the
+    windows it would close unfiltered (it can neither fire a transition
+    nor kill an instance), and only the fresh start instance it would
+    open is saved. *)
 
 type stream
 
@@ -177,7 +186,9 @@ val create : ?options:options -> Automaton.t -> stream
 val feed : stream -> Event.t -> Substitution.t list
 (** Equivalent to [feed_batch st [| e |]]: the batch-of-one view of the
     same loop, kept as the reference ordering (per-event expiry pops and
-    exact observer narration). *)
+    exact observer narration). An event the filter drops is counted in
+    [events_filtered] and sweeps the pool to its timestamp, as
+    {!advance} does, narrating each [Expired] with that event. *)
 
 val feed_batch : stream -> Event.t array -> Substitution.t list
 (** Pushes a chronological chunk (also checked against events already
@@ -187,15 +198,30 @@ val feed_batch : stream -> Event.t array -> Substitution.t list
     multiset of raw emissions, same layout-invariant metrics — with the
     per-event overheads amortized: the event filter runs in one pass
     over the chunk, constant-precheck caches are stamped instead of
-    reset, τ-expired prefixes are popped once per batch, at its end
-    (instances whose window closes mid-batch are caught before they can
-    consume an event), and telemetry probes record per batch. The chunk
-    returns the same multiset of raw emissions as feeding its events one
-    at a time, and [instances_expired] agrees at every chunk boundary;
-    only the {e position} of an expiry emission within the chunk's list
-    may differ, and the sampled population peak may read higher. With an
+    reset, τ-expired prefixes are popped once per batch, at its end, by
+    a sweep to the chunk's last timestamp whether the filter keeps its
+    last event or not (instances whose window closes mid-batch are
+    caught before they can consume an event), and telemetry probes
+    record per batch. The chunk returns the same multiset of raw
+    emissions as feeding its events one at a time, and
+    [instances_expired] agrees at every chunk boundary; only the
+    {e position} of an expiry emission within the chunk's list may
+    differ, and the sampled population peak may read higher. With an
     observer installed the engine processes the chunk event by event so
     narration order stays exact. *)
+
+val advance : stream -> Time.t -> Substitution.t list
+(** [advance st ts] moves the clock to [ts] without feeding an event:
+    every instance whose window has closed by [ts] is expired (counted
+    in [instances_expired]), and the accepting ones are returned, raw,
+    oldest bucket first. A keyed state pops across its sub-buckets, so
+    keys whose windows all closed leave no sub-bucket behind. [ts] joins
+    the chronology check: an earlier timestamp raises
+    [Invalid_argument], and a later event before [ts] does too. Timed
+    under the [expiry] span. With no event to name, [advance] narrates
+    no [Expired] (it does narrate [Emitted]): callers that install an
+    observer ({!Trace}, {!Explain}) feed every event and never call
+    it. *)
 
 val close : stream -> Substitution.t list
 

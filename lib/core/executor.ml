@@ -34,6 +34,8 @@ module type EXECUTOR = sig
 
   val feed_batch : t -> Event.t array -> Substitution.t list
 
+  val advance : t -> Time.t -> Substitution.t list
+
   val close : t -> Substitution.t list
 
   val emitted : t -> Substitution.t list
@@ -60,6 +62,8 @@ module Plain : EXECUTOR with type t = Engine.stream = struct
   let feed = Engine.feed
 
   let feed_batch = Engine.feed_batch
+
+  let advance = Engine.advance
 
   let close = Engine.close
 
@@ -88,6 +92,8 @@ module Naive_exec : EXECUTOR = struct
   let feed = Naive.feed
 
   let feed_batch = Naive.feed_batch
+
+  let advance = Naive.advance
 
   let close = Naive.close
 
@@ -152,6 +158,8 @@ module Instrument (E : EXECUTOR) : EXECUTOR = struct
           (Telemetry.Span.stop_elapsed p.ingest tok);
         out
 
+  let advance t ts = E.advance t.inner ts
+
   let close t = E.close t.inner
 
   let emitted t = E.emitted t.inner
@@ -197,6 +205,8 @@ let name (Packed ((module E), _)) = E.name
 let feed (Packed ((module E), t)) e = E.feed t e
 
 let feed_batch (Packed ((module E), t)) es = E.feed_batch t es
+
+let advance (Packed ((module E), t)) ts = E.advance t ts
 
 let close (Packed ((module E), t)) = E.close t
 

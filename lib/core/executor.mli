@@ -59,6 +59,22 @@ module type EXECUTOR = sig
       implementations that keep events past the call (queues, buffers)
       must copy them out, as the in-repo ones do. *)
 
+  val advance : t -> Time.t -> Substitution.t list
+  (** [advance t ts] tells the executor that time [ts] has been reached
+      without feeding it an event, and returns the raw substitutions
+      whose windows closed by then. It is the executor's clock: afterwards
+      the executor stands as if it had been fed an event at [ts] that
+      can neither fire a transition nor kill an instance — the same
+      instances expired (and counted in [instances_expired]), the same
+      emissions — apart from the fresh start instance such an event
+      would open and the event counters. So a caller that skips the
+      events a query cannot react to, and advances the query to the
+      last timestamp it skipped, sees the emissions of the full feed.
+      [ts] takes part in the chronology check: a [ts] before the last
+      timestamp given raises [Invalid_argument], and so does a later
+      event before [ts]. A caller that installs an engine observer
+      feeds every event instead (see {!Engine.advance}). *)
+
   val close : t -> Substitution.t list
   (** End of input: flushes accepting instances. *)
 
@@ -110,6 +126,8 @@ val name : packed -> string
 val feed : packed -> Event.t -> Substitution.t list
 
 val feed_batch : packed -> Event.t array -> Substitution.t list
+
+val advance : packed -> Time.t -> Substitution.t list
 
 val close : packed -> Substitution.t list
 

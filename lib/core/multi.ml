@@ -58,7 +58,7 @@ let make_parallel options domains regs =
         plan)
       (* Per-event feeding: the chunking only amortizes the queue
          handshake. Matches and raw emissions equal the sequential
-         mode's; the sweep-dependent counters may not (see multi.mli). *)
+         mode's; the population peak may not (see multi.mli). *)
       (fun plan events ->
         Array.iter (fun e -> ignore (Shared_plan.feed plan e)) events)
   in

@@ -12,10 +12,13 @@
     {b Shared plan.} Registrations live in one {!Shared_plan}: the
     distinct constant predicates across all queries' filters are
     evaluated once per event by a predicate index, which routes each
-    event only to the executors of the queries it can affect. Every
-    registration keeps its own executor, so routing is
-    result-transparent: per-query matches, raw emissions and metrics
-    equal those of one isolated executor per query fed every event.
+    event only to the executors of the queries it can affect. A routed
+    query's executor sees no other event: the plan advances its clock
+    ({!Executor.advance}) to the last event of each feed instead, so its
+    windows close on time. Every registration keeps its own executor, so
+    routing is result-transparent: per-query matches, raw emissions and
+    metrics equal those of one isolated executor per query fed every
+    event (the population peak aside, see {!Shared_plan}).
     {!register} and {!unregister} add and retire one query in place, at
     any point of the stream.
 
@@ -26,8 +29,8 @@
     domain). Each query is still evaluated by one domain, strictly
     sequentially, so per-query matches and raw emissions are identical
     to the sequential mode. The workers feed one event at a time, so
-    [instances_expired] may read higher and [max_simultaneous_instances]
-    lower than under the sequential mode's chunked feed. Operationally:
+    [max_simultaneous_instances] may read lower than under the
+    sequential mode's chunked feed. Operationally:
     [feed] returns [[]] — completions surface at [close]/{!outcomes} —
     [population]/{!outcomes} quiesce the workers first, [close] joins
     the domains and forbids further feeding, and worker exceptions

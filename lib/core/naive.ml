@@ -113,12 +113,15 @@ let create ?(options = Engine.default_options) automaton =
     m = Metrics.create ();
   }
 
-let feed st e =
+let tick st ts =
   (match st.last_ts with
-  | Some t when Time.( <. ) (Event.ts e) t ->
+  | Some t when Time.( <. ) ts t ->
       invalid_arg "Naive.feed: events out of chronological order"
   | Some _ | None -> ());
-  st.last_ts <- Some (Event.ts e);
+  st.last_ts <- Some ts
+
+let feed st e =
+  tick st (Event.ts e);
   Metrics.on_event st.m;
   st.events <- e :: st.events;
   []
@@ -127,6 +130,12 @@ let feed st e =
    chronology check per event included. *)
 let feed_batch st es =
   Array.iter (fun e -> ignore (feed st e)) es;
+  []
+
+(* The oracle decides nothing before [close]: time only joins the
+   chronology check. *)
+let advance st ts =
+  tick st ts;
   []
 
 let close st =

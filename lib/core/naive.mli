@@ -65,6 +65,9 @@ val feed : stream -> Event.t -> Substitution.t list
 val feed_batch : stream -> Event.t array -> Substitution.t list
 (** Buffers a chronological chunk; always [[]], like {!feed}. *)
 
+val advance : stream -> Time.t -> Substitution.t list
+(** Checks [ts] against the chronology like {!feed}; always [[]]. *)
+
 val close : stream -> Substitution.t list
 (** Runs the enumeration over the buffered events. May raise
     {!Too_large}. Idempotent; later calls return [[]]. *)

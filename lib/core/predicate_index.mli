@@ -20,8 +20,9 @@
 
     Soundness matches the strong filter's: an event reported
     not-relevant to a query fails every clause, so it can neither fire a
-    transition nor trigger a negation kill there — only τ-expiry timing
-    can depend on it (see {!Multi}). *)
+    transition nor trigger a negation kill there — only τ-expiry can
+    depend on it, and {!Shared_plan} advances the query's clock instead
+    of feeding it the event (see {!Multi}). *)
 
 open Ses_event
 

@@ -6,12 +6,12 @@ open Ses_event
 
    - an event the index does not route to a query fails every clause of
      that query's strong filter, so it can neither fire a transition nor
-     trigger a negation kill there — it can only close τ-windows, and a
-     routed executor that is not gated still sees every event while it
-     holds instances;
-   - a gated executor skips non-routed events entirely, exactly the
-     events its own filter would have dropped; they are accounted back
-     when its metrics are read.
+     trigger a negation kill there — it can only close τ-windows;
+   - so a routed member is fed only its routed events, and after each
+     feed every routed member that holds instances is advanced to the
+     last timestamp fed ([Executor.advance]): its windows close on the
+     same event as under the full feed, routed or not. The events it
+     skipped are accounted back when its metrics are read.
 
    Registration and retirement edit the member array in place; the index
    over the live members is rebuilt lazily, at the next feed or stats
@@ -21,35 +21,22 @@ type atom = Schema.Field.t * Predicate.op * Value.t
 
 type reg = { r_name : string; r_automaton : Automaton.t; r_strategy : Executor.strategy }
 
-(* [None] = unroutable: fed every event. [Some (clauses, gated)]: the
-   query only reacts to events satisfying some clause; [gated] when its
-   own filter would drop exactly the non-routed events, so they need not
-   be fed at all. *)
-let routing options (r : reg) : (atom list list * bool) option =
+(* The clauses a query reacts to: [None] when it is unroutable. *)
+let routing options (r : reg) : atom list list option =
   match r.r_strategy with
   | `Plain -> (
-      let p = Automaton.pattern r.r_automaton in
       match options.Engine.filter with
       | Event_filter.Paper -> None
-      | Event_filter.No_filter | Event_filter.Strong -> (
-          match
-            Event_filter.strong_clauses ~extra:options.Engine.filter_extras p
-          with
-          | None -> None
-          | Some clauses ->
-              Some (clauses, options.Engine.filter = Event_filter.Strong)))
-  | `Auto -> (
-      let plan = Planner.plan r.r_automaton in
-      match Planner.routing_clauses plan r.r_automaton with
-      | None -> None
-      | Some clauses -> Some (clauses, true))
-  | _ -> None
+      | Event_filter.No_filter | Event_filter.Strong ->
+          Event_filter.strong_clauses ~extra:options.Engine.filter_extras
+            (Automaton.pattern r.r_automaton))
+  | `Auto -> Planner.routing_clauses (Planner.plan r.r_automaton) r.r_automaton
+  | `Naive | `Brute_force -> None
 
 type feed_mode =
-  | Always  (** whole feed: unroutable, or a strategy that needs it *)
-  | Routed of { clauses : atom list list; gated : bool }
-      (** only routed events (plus, when not gated, any event arriving
-          while the executor holds instances — expiry timing) *)
+  | Always  (** every event: unroutable, or a strategy that needs it *)
+  | Routed of atom list list
+      (** only the events satisfying some clause, and the clock *)
 
 (* One registration: its executor and routing state. *)
 type member = {
@@ -58,7 +45,6 @@ type member = {
   m_mode : feed_mode;
   m_base : int;  (* events the plan was fed before this registration *)
   mutable m_fed : int;
-  mutable m_live : bool;  (* population > 0 after the last flush *)
   mutable m_pending_routed : bool;
   mutable m_buf : Event.t array;  (* this chunk's events for [m_exec] *)
   mutable m_buf_n : int;
@@ -75,6 +61,7 @@ type t = {
   mutable sp_closed : bool;
   sp_c_eval : Telemetry.Counter.t option;
   sp_c_saved : Telemetry.Counter.t option;
+  sp_c_fed : Telemetry.Counter.t option;
   mutable sp_synced_eval : int;
   mutable sp_synced_saved : int;
 }
@@ -85,17 +72,17 @@ let register t r =
   let mode, exec_options =
     match routing options r with
     | None -> (Always, options)
-    | Some (clauses, gated) ->
-        (* A gated [`Plain] member receives only events its strong
+    | Some clauses ->
+        (* A routed [`Plain] member receives only events its strong
            filter keeps, so the executor's own filter pass is redundant
            work: strip it. The metrics difference is compensated at
            snapshot. *)
         let opts =
-          if gated && r.r_strategy = `Plain then
+          if r.r_strategy = `Plain then
             { options with Engine.filter = Event_filter.No_filter }
           else options
         in
-        (Routed { clauses; gated }, opts)
+        (Routed clauses, opts)
   in
   let m =
     {
@@ -104,7 +91,6 @@ let register t r =
       m_mode = mode;
       m_base = t.sp_total_events;
       m_fed = 0;
-      m_live = false;
       m_pending_routed = false;
       m_buf = [||];
       m_buf_n = 0;
@@ -120,7 +106,7 @@ let refresh_index t =
       List.filter_map
         (fun (i, m) ->
           match m.m_mode with
-          | Routed { clauses; _ } -> Some (Some clauses, i)
+          | Routed clauses -> Some (Some clauses, i)
           | Always -> None)
         (List.mapi (fun i m -> (i, m)) (Array.to_list t.sp_members))
     in
@@ -132,12 +118,8 @@ let refresh_index t =
   end
 
 let create ~options regs =
-  let c_eval, c_saved =
-    match options.Engine.telemetry with
-    | None -> (None, None)
-    | Some tl ->
-        ( Some (Telemetry.counter tl "multi.shared.predicates_evaluated"),
-          Some (Telemetry.counter tl "multi.shared.predicates_saved") )
+  let counter name =
+    Option.map (fun tl -> Telemetry.counter tl name) options.Engine.telemetry
   in
   let t =
     {
@@ -149,8 +131,9 @@ let create ~options regs =
       sp_total_events = 0;
       sp_last_ts = None;
       sp_closed = false;
-      sp_c_eval = c_eval;
-      sp_c_saved = c_saved;
+      sp_c_eval = counter "multi.shared.predicates_evaluated";
+      sp_c_saved = counter "multi.shared.predicates_saved";
+      sp_c_fed = counter "multi.shared.events_fed";
       sp_synced_eval = 0;
       sp_synced_saved = 0;
     }
@@ -171,6 +154,9 @@ let sync_counters t =
       | None -> ());
       t.sp_synced_saved <- s
 
+let count_fed t n =
+  match t.sp_c_fed with Some c -> Telemetry.Counter.add c n | None -> ()
+
 let out_of_order = "Multi.feed: events out of chronological order"
 
 let check_ts t ts =
@@ -187,9 +173,16 @@ let dispatch t e =
     (Predicate_index.relevant t.sp_index e)
 
 let takes m =
+  match m.m_mode with Always -> true | Routed _ -> m.m_pending_routed
+
+(* The clock of a routed member that holds instances, after a feed that
+   ended at [ts]: its windows close on the last event fed, whether it
+   was routed there or not. An [Always] member has seen that event. *)
+let advance m ts =
   match m.m_mode with
-  | Always -> true
-  | Routed { gated; _ } -> m.m_pending_routed || ((not gated) && m.m_live)
+  | Routed _ when Executor.population m.m_exec > 0 ->
+      Executor.advance m.m_exec ts
+  | Routed _ | Always -> []
 
 let feed t e =
   if t.sp_closed then invalid_arg "Multi.feed: query set is closed";
@@ -197,32 +190,39 @@ let feed t e =
   refresh_index t;
   t.sp_total_events <- t.sp_total_events + 1;
   dispatch t e;
-  let out = ref [] in
+  let out = ref [] and fed = ref 0 in
   Array.iter
     (fun m ->
-      if takes m then begin
-        m.m_fed <- m.m_fed + 1;
-        (match Executor.feed m.m_exec e with
-        | [] -> ()
-        | completed -> out := (m.m_reg.r_name, completed) :: !out);
-        m.m_live <- Executor.population m.m_exec > 0
-      end;
+      let completed =
+        if takes m then begin
+          m.m_fed <- m.m_fed + 1;
+          incr fed;
+          Executor.feed m.m_exec e
+        end
+        else advance m (Event.ts e)
+      in
+      (match completed with
+      | [] -> ()
+      | completed -> out := (m.m_reg.r_name, completed) :: !out);
       m.m_pending_routed <- false)
     t.sp_members;
+  count_fed t !fed;
   sync_counters t;
   List.rev !out
 
 (* Hand a member the events it took from the chunk, in one
-   [feed_batch]. *)
-let flush_member m =
-  if m.m_buf_n = 0 then []
+   [feed_batch], then advance it to the chunk's last timestamp [ts]
+   unless it was fed an event there. *)
+let flush_member m ts =
+  let k = m.m_buf_n in
+  if k = 0 then advance m ts
   else begin
-    let chunk = Array.sub m.m_buf 0 m.m_buf_n in
+    let chunk = Array.sub m.m_buf 0 k in
     m.m_buf_n <- 0;
-    m.m_fed <- m.m_fed + Array.length chunk;
+    m.m_fed <- m.m_fed + k;
     let completed = Executor.feed_batch m.m_exec chunk in
-    m.m_live <- Executor.population m.m_exec > 0;
-    completed
+    if Event.ts chunk.(k - 1) = ts then completed
+    else completed @ advance m ts
   end
 
 let feed_batch t events =
@@ -245,18 +245,18 @@ let feed_batch t events =
           (fun m ->
             if takes m then begin
               m.m_buf.(m.m_buf_n) <- e;
-              m.m_buf_n <- m.m_buf_n + 1;
-              (* a routed event may create instances: from here the
-                 member must see the rest of the chunk when not gated *)
-              if m.m_pending_routed then m.m_live <- true
+              m.m_buf_n <- m.m_buf_n + 1
             end;
             m.m_pending_routed <- false)
           t.sp_members)
       events;
+    count_fed t
+      (Array.fold_left (fun acc m -> acc + m.m_buf_n) 0 t.sp_members);
+    let last = Event.ts events.(n - 1) in
     let out = ref [] in
     Array.iter
       (fun m ->
-        match flush_member m with
+        match flush_member m last with
         | [] -> ()
         | completed -> out := (m.m_reg.r_name, completed) :: !out)
       t.sp_members;
@@ -284,26 +284,31 @@ let close t =
 (* ------------------------------------------------------------------ *)
 
 (* Metrics as if the member had been fed every event since it
-   registered: skipped events are accounted as a gated executor's filter
-   would have dropped them, or as the fresh instances an ungated one
-   would have created. *)
+   registered. The skipped events are the ones the member's configured
+   filter drops — [`Auto] plans the strong filter — or, under
+   [No_filter], the ones whose fresh start instances it would have
+   created. *)
 let metrics t m =
   let n = t.sp_total_events - m.m_base in
+  let skipped = n - m.m_fed in
   let snap = Executor.metrics m.m_exec in
   match m.m_mode with
   | Always -> snap
-  | Routed { gated; _ } ->
-      if gated then
+  | Routed _ ->
+      if
+        m.m_reg.r_strategy = `Auto
+        || t.sp_options.Engine.filter <> Event_filter.No_filter
+      then
         {
           snap with
           Metrics.events_seen = n;
-          events_filtered = snap.Metrics.events_filtered + (n - m.m_fed);
+          events_filtered = snap.Metrics.events_filtered + skipped;
         }
       else
         {
           snap with
           Metrics.events_seen = n;
-          instances_created = snap.Metrics.instances_created + (n - m.m_fed);
+          instances_created = snap.Metrics.instances_created + skipped;
         }
 
 type query_result = {

@@ -4,21 +4,35 @@
     {!Predicate_index}: the distinct constant atoms across all queries'
     strong-filter clauses are evaluated once per event, and each query
     learns whether the event can affect it without re-testing shared
-    atoms. A query whose executor gates on its strong filter is fed only
-    its routed subsequence; a routed query that does not gate is also
-    fed every event while it holds instances (τ-expiry timing); an
-    unroutable query is fed everything.
+    atoms.
+
+    A routed query — [`Plain] under [No_filter] or [Strong], and
+    [`Auto], whose strong clauses exist — has one feed rule: it is fed
+    its routed events only, and after every {!feed} or {!feed_batch} it
+    is advanced ({!Executor.advance}) to the last timestamp fed when it
+    holds instances and was not fed that event. An unrouted event fails
+    every clause of the query's strong filter, so it could only have
+    closed windows, and the advance closes them on the same event. A
+    routed [`Plain] executor runs with its filter stripped: the routing
+    already is that filter. An unroutable query — [Paper], a variable
+    without a constant condition, [`Naive], [`Brute_force] — is fed
+    everything.
 
     Queries join with {!register} and leave with {!retire}, at any point
     of the stream; each costs one executor. The index is rebuilt from
     the live members lazily, at the next feed or {!stats} read, and its
     evaluation counters stay cumulative across rebuilds.
 
-    Per-query raw emissions, matches and metrics are identical to
-    running each registration alone over the events fed while it was
-    registered, raw emission order included: routing only skips events
-    that could neither fire a transition nor kill an instance, and
-    skipped events are accounted back into the metrics. *)
+    Per-query raw emissions, matches and metrics are those of running
+    each registration alone over the events fed while it was registered,
+    in the same chunks: routing only skips events that could neither
+    fire a transition nor kill an instance, and skipped events are
+    accounted back into the metrics. Each chunk returns the same
+    multiset of raw emissions, and [instances_expired] agrees at every
+    chunk boundary; within a chunk an expiry emission may come in
+    another position, and [max_simultaneous_instances], sampled only at
+    the events a query is fed, may read differently. On the per-event
+    {!feed} everything agrees exactly. *)
 
 open Ses_event
 
@@ -69,7 +83,11 @@ val results : t -> query_result list
 (** Per-registration raw emissions and metrics of the live
     registrations, in registration order. Metrics are compensated so
     they equal those of the registration's executor run alone over the
-    events fed since it registered. *)
+    events fed since it registered: [events_seen] counts every event,
+    and the events a routed query skipped count as [events_filtered]
+    when its configured filter is [Strong] (or it runs [`Auto]), and as
+    the fresh start instances of [instances_created] under
+    [No_filter]. *)
 
 val retire : t -> string -> query_result
 (** Removes a registered query from a live plan and returns its outcome

@@ -167,6 +167,13 @@ let run ?(options = Engine.default_options) ?(strategy = `Auto)
               match feed_all () with
               | Error _ as e -> e
               | Ok () ->
+                  (* The rows the pushed filter dropped after the last
+                     delivered one still move the clock: windows they
+                     close expire before the close-time flush, as under
+                     the unpushed feed. *)
+                  Option.iter
+                    (fun ts -> ignore (Executor.advance exec ts))
+                    (Ses_store.Csv_stream.last_ts src);
                   ignore (Executor.close exec);
                   let raw = Executor.emitted exec in
                   let finalize () =

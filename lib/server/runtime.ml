@@ -226,10 +226,10 @@ let register_query ~now t conn ten name query_text =
     | Ok pattern -> (
         let automaton = Automaton.of_pattern pattern in
         (* [`Plain] until the server benchmark measures [`Auto] against
-           it (ROADMAP item 1). [`Plain] streams a completion from the
-           [feed_batch] that closes its window; [`Auto], whose strong
-           filter drops rows before the engine sees them, only when a
-           later row the filter keeps arrives. *)
+           it. Either streams a completion from the [feed_batch] that
+           closes its window: the shared plan feeds a routed query only
+           the rows its strong filter keeps, and advances its clock to
+           the last row of every drained batch. *)
         (* Barrier: queued events were sent before this REGISTER, so the
            new query must not observe them through a later drain. *)
         drain_all ~now t ten;

@@ -56,6 +56,8 @@ let scanned src = src.seq
 
 let dropped src = src.dropped
 
+let last_ts src = if src.seq = 0 then None else Some src.last_ts
+
 let close_source src =
   if not src.closed then begin
     src.closed <- true;

@@ -58,6 +58,12 @@ val scanned : source -> int
 val dropped : source -> int
 (** Rows dropped by the pushed-down filter. *)
 
+val last_ts : source -> Time.t option
+(** The timestamp of the last row scanned, dropped or not; [None] before
+    the first row. A consumer fed only the delivered rows advances its
+    clock to it at the end of the scan ({!Ses_core.Executor.advance}),
+    so windows the dropped tail closes close there too. *)
+
 val close_source : source -> unit
 (** Closes the file; idempotent. [next] afterwards returns [Ok None]. *)
 

@@ -95,6 +95,27 @@ let batched_equals_per_event =
                 batch_grid)
             strategies))
 
+(* Feeds [events] in chunks of 1 to 16 events, their lengths drawn
+   from [cuts], through two executors: [step] hands one chunk to one of
+   them and returns the raw emissions. True when every chunk returns
+   the same multiset on both, [instances_expired] agrees at every chunk
+   boundary, and the close-time flushes agree too. *)
+let agree_chunk_by_chunk cuts events (a, step_a) (b, step_b) =
+  let expired exec = (Executor.metrics exec).Metrics.instances_expired in
+  let n = Array.length events in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < n do
+    let len = min (1 + Prng.int cuts 16) (n - !i) in
+    let chunk = Array.sub events !i len in
+    ok :=
+      canon_sorted (step_a chunk) = canon_sorted (step_b chunk)
+      && expired a = expired b;
+    i := !i + len
+  done;
+  !ok
+  && canon_sorted (Executor.close a) = canon_sorted (Executor.close b)
+  && expired a = expired b
+
 (* Chunk by chunk, not just in total: the batched engine sweeps τ-expiry
    at the end of every chunk, so each [feed_batch] call returns the same
    multiset of raw emissions as feeding that chunk's events one by one —
@@ -109,29 +130,15 @@ let chunk_emissions_equal_per_event =
       with_workload seed (fun pat r ->
           let automaton = Automaton.of_pattern pat in
           let events = events_of r in
-          let n = Array.length events in
           let cuts = Prng.create (Int64.of_int (seed + 1)) in
-          let expired exec = (Executor.metrics exec).Metrics.instances_expired in
           let agrees strategy =
             let reference = Executor.create strategy automaton in
             let batched = Executor.create strategy automaton in
-            let ok = ref true and i = ref 0 in
-            while !ok && !i < n do
-              let len = min (1 + Prng.int cuts 16) (n - !i) in
-              let chunk = Array.sub events !i len in
-              let one_by_one =
-                List.concat_map (Executor.feed reference) (Array.to_list chunk)
-              in
-              ok :=
-                canon_sorted one_by_one
-                = canon_sorted (Executor.feed_batch batched chunk)
-                && expired reference = expired batched;
-              i := !i + len
-            done;
-            !ok
-            && canon_sorted (Executor.close reference)
-               = canon_sorted (Executor.close batched)
-            && expired reference = expired batched
+            let one_by_one chunk =
+              List.concat_map (Executor.feed reference) (Array.to_list chunk)
+            in
+            agree_chunk_by_chunk cuts events (reference, one_by_one)
+              (batched, Executor.feed_batch batched)
           in
           let rec chunkings strategy k =
             k = 0 || (agrees strategy && chunkings strategy (k - 1))
@@ -139,6 +146,82 @@ let chunk_emissions_equal_per_event =
           List.for_all
             (fun strategy -> chunkings strategy 10)
             [ `Plain; `Auto ]))
+
+(* The clock. An executor fed only the events its strong filter keeps —
+   what the shared plan routes to a query — and advanced to each chunk's
+   last timestamp returns, chunk by chunk, the raw emissions of the full
+   feed and counts the same expiries: a skipped event can only close
+   windows, and the advance closes them. The keyed workloads join IDs in
+   every shape, with group variables and pinned and unpinned negation
+   guards; the skipping executor runs on both pool layouts. *)
+let routed_advance_equals_full_feed =
+  QCheck.Test.make ~count:40
+    ~name:"routed subsequence + advance = full feed (chunk by chunk)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      Helpers.with_keyed_workload seed (fun pat r ->
+          match Event_filter.strong_clauses pat with
+          | None -> true
+          | Some clauses ->
+              let routed e =
+                List.exists
+                  (List.for_all (Event_filter.satisfies_atom e))
+                  clauses
+              in
+              let automaton = Automaton.of_pattern pat in
+              let events = events_of r in
+              let cuts = Prng.create (Int64.of_int (seed + 1)) in
+              List.for_all
+                (fun store ->
+                  let full = Executor.create `Plain automaton in
+                  let skipping =
+                    Executor.create
+                      ~options:{ Engine.default_options with Engine.store }
+                      `Plain automaton
+                  in
+                  agree_chunk_by_chunk cuts events
+                    (full, Executor.feed_batch full)
+                    ( skipping,
+                      fun chunk ->
+                        let last = Event.ts chunk.(Array.length chunk - 1) in
+                        let fed =
+                          Executor.feed_batch skipping
+                            (Array.of_list
+                               (List.filter routed (Array.to_list chunk)))
+                        in
+                        fed @ Executor.advance skipping last ))
+                [ Engine.Indexed; Engine.Flat ]))
+
+(* The filter never delays an emission: under the strong filter the
+   engine returns, chunk by chunk, the raw emissions of the unfiltered
+   engine and counts the same expiries, fed per event or in batches —
+   an event the filter drops still sweeps the pool to its timestamp. *)
+let strong_equals_no_filter =
+  QCheck.Test.make ~count:40 ~name:"strong filter = no filter (chunk by chunk)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      Helpers.with_keyed_workload seed (fun pat r ->
+          let automaton = Automaton.of_pattern pat in
+          let events = events_of r in
+          let cuts = Prng.create (Int64.of_int (seed + 1)) in
+          let make filter =
+            Executor.create
+              ~options:{ Engine.default_options with Engine.filter }
+              `Plain automaton
+          in
+          List.for_all
+            (fun per_event ->
+              let step exec chunk =
+                if per_event then
+                  List.concat_map (Executor.feed exec) (Array.to_list chunk)
+                else Executor.feed_batch exec chunk
+              in
+              let unfiltered = make Event_filter.No_filter in
+              let strong = make Event_filter.Strong in
+              agree_chunk_by_chunk cuts events
+                (unfiltered, step unfiltered)
+                (strong, step strong))
+            [ true; false ]))
 
 (* Complete ID joins key every state that binds a variable, so this
    property drives the engine's key-indexed sub-buckets: an event walks
@@ -281,6 +364,8 @@ let suite =
     [
       batched_equals_per_event;
       chunk_emissions_equal_per_event;
+      routed_advance_equals_full_feed;
+      strong_equals_no_filter;
       keyed_batched_equals_per_event;
       prune_on_equals_off;
     ]

@@ -233,6 +233,53 @@ let test_stream_no_pushdown_same_matches () =
         (Helpers.substs_repr pattern
            without_push.Ses_harness.Stream_runner.matches))
 
+(* The pushed scan keeps the engine's clock. Rows the scan drops still
+   close windows: between delivered rows by the engine's own sweeps, and
+   after the last one by the advance to the last row scanned. So the
+   pushed run counts what [Executor.run] counts over every row under the
+   same filter — expiries included — and only the population peak,
+   sampled at the events the engine sees, may differ. *)
+let pushed_metrics_equal_full_run =
+  QCheck.Test.make ~count:30
+    ~name:"pushed scan metrics = Executor.run under the same filter"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      Helpers.with_keyed_workload seed (fun pat r ->
+          let automaton = Ses_core.Automaton.of_pattern pat in
+          let options =
+            {
+              Ses_core.Engine.default_options with
+              Ses_core.Engine.filter = Ses_core.Event_filter.Strong;
+              filter_extras =
+                (match Ses_core.Planner.analyze automaton with
+                | Some a -> a.Ses_core.Planner.filter_extras
+                | None -> []);
+              batch_size = 7;
+            }
+          in
+          let peakless (m : Ses_core.Metrics.snapshot) =
+            { m with Ses_core.Metrics.max_simultaneous_instances = 0 }
+          in
+          with_tmp (Ses_store.Csv.to_string r) (fun path ->
+              List.for_all
+                (fun strategy ->
+                  let pushed =
+                    or_fail
+                      (Ses_harness.Stream_runner.run ~options ~strategy
+                         ~query:(fun _ -> Ok automaton)
+                         path)
+                  in
+                  let full =
+                    Ses_core.Executor.run ~options strategy automaton
+                      (Relation.to_seq r)
+                  in
+                  peakless pushed.Ses_harness.Stream_runner.metrics
+                  = peakless full.Ses_core.Engine.metrics
+                  && Helpers.substs_repr pat
+                       pushed.Ses_harness.Stream_runner.matches
+                     = Helpers.substs_repr pat full.Ses_core.Engine.matches)
+                [ `Plain; `Auto ])))
+
 let suite =
   [
     Alcotest.test_case "count/event parity with Csv.load" `Quick
@@ -250,4 +297,5 @@ let suite =
       test_stream_matches_materialized;
     Alcotest.test_case "pushdown does not change matches" `Quick
       test_stream_no_pushdown_same_matches;
+    QCheck_alcotest.to_alcotest pushed_metrics_equal_full_run;
   ]

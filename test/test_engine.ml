@@ -543,8 +543,9 @@ let test_int_float_join_unkeyed () =
 
 let test_idle_keys_drop () =
   (* 100 keys, each seen once, one of them completed by a b of its key
-     (its sub-bucket empties by a walk), then one event past τ: every
-     window has closed, and no emptied sub-bucket may stay behind. *)
+     (its sub-bucket empties by a walk), then the clock passes τ — by one
+     more event, or by [advance] alone: every window has closed, and no
+     emptied sub-bucket may stay behind. *)
   let p =
     pattern ~within:10
       [ [ v "a" ]; [ v "b" ] ]
@@ -558,18 +559,25 @@ let test_idle_keys_drop () =
   let idle = List.init 100 (fun k -> (k + 1, "a", 0, k / 10)) in
   let late = [ (1, "b", 0, 9); (0, "z", 0, 30) ] in
   let events = Array.of_seq (Relation.to_seq (rel (idle @ late))) in
-  let check_feed name feed_all =
+  let per_event st es = List.concat_map (Engine.feed st) (Array.to_list es) in
+  let check_feed name feed_all pass =
     let st = Engine.create (Automaton.of_pattern p) in
-    feed_all st (Array.sub events 0 101);
+    ignore (feed_all st (Array.sub events 0 101));
     Alcotest.(check int) (name ^ ": one sub-bucket per waiting key") 99
       (Engine.sub_buckets st);
-    feed_all st [| events.(101) |];
+    Alcotest.(check int)
+      (name ^ ": the completed key emits")
+      1
+      (List.length (pass st));
     Alcotest.(check int) (name ^ ": population") 0 (Engine.population st);
-    Alcotest.(check int) (name ^ ": sub-buckets") 0 (Engine.sub_buckets st)
+    Alcotest.(check int) (name ^ ": sub-buckets") 0 (Engine.sub_buckets st);
+    Alcotest.(check int) (name ^ ": expired") 100
+      (Engine.metrics st).Metrics.instances_expired
   in
-  check_feed "per event" (fun st es ->
-      Array.iter (fun e -> ignore (Engine.feed st e)) es);
-  check_feed "batched" (fun st es -> ignore (Engine.feed_batch st es))
+  check_feed "per event" per_event (fun st -> per_event st [| events.(101) |]);
+  check_feed "batched" Engine.feed_batch (fun st ->
+      Engine.feed_batch st [| events.(101) |]);
+  check_feed "advance" Engine.feed_batch (fun st -> Engine.advance st 30)
 
 let suite =
   [

@@ -7,8 +7,6 @@
    likewise checked against a direct transcription of Definition 2's
    conditions 4-5. *)
 
-open Ses_event
-open Ses_pattern
 open Ses_core
 open Ses_gen
 
@@ -16,53 +14,6 @@ let with_workload seed f =
   let rng = Prng.create (Int64.of_int seed) in
   let pat = Random_workload.pattern rng Random_workload.default_pattern in
   let r = Random_workload.relation rng Random_workload.default_relation in
-  f pat r
-
-(* A two-set pattern whose guard NOT (x) arms at the set boundary, with
-   a star of ID joins from a (a group variable on half of the draws).
-   The guard is pinned (x.ID = a.ID) on half of the draws; unpinned, a
-   matching x of any key may kill, so its state cannot probe. *)
-let negation_pattern rng =
-  let label name =
-    Pattern.Spec.const name "L" Predicate.Eq
-      (Value.Str (Prng.pick rng [ "a"; "b"; "c" ]))
-  in
-  let join u w = Pattern.Spec.fields u "ID" Predicate.Eq w "ID" in
-  let a =
-    if Prng.bool rng then Variable.group "a" else Variable.singleton "a"
-  in
-  Pattern.make_full_exn ~schema:Random_workload.schema
-    ~sets:[ [ a; Variable.singleton "c" ]; [ Variable.singleton "b" ] ]
-    ~negations:[ (0, Variable.singleton "x") ]
-    ~where:
-      ([ label "a"; label "b"; label "c"; label "x" ]
-      @ [ join "a" "b"; join "a" "c" ]
-      @ if Prng.bool rng then [ join "x" "a" ] else [])
-    ~within:(5 + Prng.int rng 16)
-
-(* Keyed workloads: ID joins of every shape and group variables, over
-   four ids so that most states hold several keys; a third of the draws
-   carry a negation guard. *)
-let with_keyed_workload seed f =
-  let rng = Prng.create (Int64.of_int seed) in
-  let pat =
-    if Prng.int rng 3 = 0 then negation_pattern rng
-    else
-      Random_workload.pattern rng
-        {
-          Random_workload.default_pattern with
-          Random_workload.p_id_join = 1.0;
-          join_shapes = Random_workload.[ Complete; Star; Chain ];
-        }
-  in
-  let r =
-    Random_workload.relation rng
-      {
-        Random_workload.default_relation with
-        Random_workload.n_events = 60;
-        n_ids = 4;
-      }
-  in
   f pat r
 
 let canon_sorted substs =
@@ -139,7 +90,7 @@ let keyed_batches_agree =
   QCheck.Test.make ~count:60 ~name:"keyed batches = per-event keyed run"
     QCheck.(int_bound 100_000)
     (fun seed ->
-      with_keyed_workload seed (fun pat r ->
+      Helpers.with_keyed_workload seed (fun pat r ->
           let automaton = Automaton.of_pattern pat in
           let per_event = Engine.run_relation automaton r in
           List.for_all
@@ -350,8 +301,9 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [
         stores_agree_on_output ~name:"keyed store output = flat store output"
-          with_keyed_workload;
+          Helpers.with_keyed_workload;
         stores_agree_on_metrics
-          ~name:"keyed store metrics = flat store metrics" with_keyed_workload;
+          ~name:"keyed store metrics = flat store metrics"
+          Helpers.with_keyed_workload;
         keyed_batches_agree;
       ]

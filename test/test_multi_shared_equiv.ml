@@ -4,12 +4,12 @@
    every event in the same chunks — for every query: same finalized
    matches (in order), same raw emissions (as a multiset), and the same
    metrics. Metrics are compared bit-for-bit on the per-event path;
-   batched delivery zeroes the two layout-variant counters. The
-   deterministic fixture runs queries that agree on a leading run of
-   event sets, with negation guards at two boundaries, a query that is
-   exactly the common prefix (emitting on τ-expiry), and a
-   byte-identical re-registration — and asserts that routing actually
-   engaged. *)
+   batched delivery zeroes the population peak, which depends on which
+   events the engine walks. The deterministic fixture runs queries that
+   agree on a leading run of event sets, with negation guards at two
+   boundaries, a query that is exactly the common prefix (emitting on
+   τ-expiry), and a byte-identical re-registration — and asserts that
+   routing actually engaged. *)
 
 open Ses_event
 open Ses_pattern
@@ -20,16 +20,12 @@ let canon substs = List.map Substitution.canonical substs
 let canon_sorted substs =
   List.sort Substitution.compare_canonical (canon substs)
 
-(* Batched runs are compared modulo the population peak and the expiry
-   count. Both sides are chunked alike, so today they agree on these
-   too; the mask only keeps this differential independent of where the
-   batched engine schedules its expiry sweep. *)
+(* Batched runs are compared modulo the population peak: a routed
+   query's engine samples it only at the events it is fed. The expiry
+   count must agree: every member's clock reaches each chunk's last
+   timestamp, fed or advanced. *)
 let invariant (m : Metrics.snapshot) =
-  {
-    m with
-    Metrics.max_simultaneous_instances = 0;
-    Metrics.instances_expired = 0;
-  }
+  { m with Metrics.max_simultaneous_instances = 0 }
 
 type observed = {
   o_matches : (int * int) list list;
@@ -235,6 +231,63 @@ let test_fixture_kill_and_expiry_exercised () =
     "expiry exercised" true
     ((metrics "pfx-end").Metrics.instances_expired >= 1)
 
+(* ---- the clock: a row no query can bind closes a window ---- *)
+
+(* (c) -> (d) within 8: C@2 and D@4 of id 1 complete a match whose
+   window the row X@50 closes. No variable can bind X, so neither the
+   strong filter nor the shared plan's routing lets the engine see it.
+   The match must still come back from the X@50 chunk, under both
+   strategies and both filters, through the shared plan and through a
+   lone executor, and not wait for C@60, the query's next routed row. *)
+let test_unrouted_row_closes_window () =
+  let automaton =
+    mk ~within:8
+      [ [ v "c" ]; [ v "d" ] ]
+      [
+        label "c" "C";
+        label "d" "D";
+        Pattern.Spec.fields "c" "ID" Predicate.Eq "d" "ID";
+      ]
+  in
+  let events =
+    Array.of_seq
+      (Relation.to_seq
+         (Relation.of_rows_exn schema
+            (List.map
+               (fun (id, l, ts) ->
+                 ([| Value.Int id; Value.Str l; Value.Int 0 |], ts))
+               [ (1, "C", 2); (1, "D", 4); (9, "X", 50); (9, "C", 60) ])))
+  in
+  let chunks = [ Array.sub events 0 2; [| events.(2) |]; [| events.(3) |] ] in
+  let per_chunk feed_batch =
+    List.map (fun c -> List.length (feed_batch c)) chunks
+  in
+  List.iter
+    (fun (strategy, filter) ->
+      let options = { Engine.default_options with Engine.filter } in
+      let name =
+        Format.asprintf "%s, %a"
+          (Executor.strategy_name strategy)
+          Event_filter.pp_mode filter
+      in
+      let exec = Executor.create ~options strategy automaton in
+      Alcotest.(check (list int))
+        (name ^ ": executor emits in the X@50 chunk")
+        [ 0; 1; 0 ]
+        (per_chunk (Executor.feed_batch exec));
+      let t = Multi.create_mixed ~options [ ("probe", automaton, strategy) ] in
+      Alcotest.(check (list int))
+        (name ^ ": shared plan emits in the X@50 chunk")
+        [ 0; 1; 0 ]
+        (per_chunk (fun c -> List.concat_map snd (Multi.feed_batch t c))))
+    Event_filter.
+      [
+        (`Plain, No_filter);
+        (`Plain, Strong);
+        (`Auto, No_filter);
+        (`Auto, Strong);
+      ]
+
 (* ---- random workloads ---- *)
 
 (* A random family sharing a first event set (same label constant, same
@@ -315,4 +368,6 @@ let suite =
         test_fixture_sharing_engaged;
       Alcotest.test_case "fixture: kills and expiry exercised" `Quick
         test_fixture_kill_and_expiry_exercised;
+      Alcotest.test_case "an unrouted row closes a window" `Quick
+        test_unrouted_row_closes_window;
     ]
