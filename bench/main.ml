@@ -27,24 +27,21 @@
    reference pool (high-population workload), writing the results to
    BENCH_instance_store.json.
 
-   Part 5 measures domain-parallel execution: a 4-query set on 1 vs 4
-   OCaml domains, writing the results to BENCH_parallel.json.
-
-   Part 6 measures the telemetry layer: Q1 over the chemotherapy
+   Part 5 measures the telemetry layer: Q1 over the chemotherapy
    workload with the no-op sink (the disabled probes' branch cost —
    the number to compare against pre-telemetry baselines) and with a
    recording sink, writing both and the recorded profile to
    BENCH_telemetry.json.
 
-   Part 7 measures the batched execution core: single-domain throughput
+   Part 6 measures the batched execution core: single-domain throughput
    of an ID-joined sequence pattern over a million-event duplicated
    random workload, swept across batch sizes (a batch of 1 pays every
    per-batch overhead per event — the contrast the tuned default is
    picked against), plus the telemetry overhead at the tuned batch,
    writing the results to BENCH_batch.json.
 
-   Part 8 measures the index-accelerated access paths: the million-event
-   workload of Part 7 with the access path forced to a full scan and to
+   Part 7 measures the index-accelerated access paths: the million-event
+   workload of Part 6 with the access path forced to a full scan and to
    index probes across a selectivity sweep (ID-pinned equality,
    label-only, label+threshold, and an unselective query the cost model
    refuses), matches asserted identical, writing the results to
@@ -52,8 +49,8 @@
 
    Usage: dune exec bench/main.exe
             [-- --quick] [-- --exp N] [-- --no-micro] [-- --no-stream]
-            [-- --store-only] [-- --parallel-only] [-- --telemetry-only]
-            [-- --batch-only] [-- --index-only] *)
+            [-- --store-only] [-- --telemetry-only] [-- --batch-only]
+            [-- --index-only] *)
 
 open Bechamel
 open Toolkit
@@ -65,8 +62,6 @@ let no_micro = Array.exists (( = ) "--no-micro") Sys.argv
 let no_stream = Array.exists (( = ) "--no-stream") Sys.argv
 
 let store_only = Array.exists (( = ) "--store-only") Sys.argv
-
-let parallel_only = Array.exists (( = ) "--parallel-only") Sys.argv
 
 let telemetry_only = Array.exists (( = ) "--telemetry-only") Sys.argv
 
@@ -244,87 +239,6 @@ let store_bench () =
   output_char oc '\n';
   close_out oc
 
-(* Domain-parallel benchmark: a 4-query set over a many-patient
-   chemotherapy relation on 1 vs 4 domains — every query on its own
-   domain in the parallel run. Match counts are asserted identical across
-   domain counts; wall-clock speedup is whatever the hardware allows
-   (the JSON records the visible core count so a 1-core container's
-   numbers read as what they are). *)
-
-let parallel_bench () =
-  let module Q = Ses_harness.Queries in
-  let d =
-    Ses_gen.Chemo.generate
-      {
-        Ses_gen.Chemo.default with
-        Ses_gen.Chemo.seed = 23L;
-        patients = (if quick then 40 else 200);
-      }
-  in
-  let n_events = Ses_event.Relation.cardinality d in
-  (* All four are per-patient or mutually-exclusive patterns — the
-     overlapping P3/P4 would explode combinatorially on a relation this
-     dense. *)
-  let queries () =
-    [
-      ("q1-complete", Ses_core.Automaton.of_pattern Q.q1_complete);
-      ("q1", Ses_core.Automaton.of_pattern Q.q1);
-      ("x1-3", Ses_core.Automaton.of_pattern (Q.exp1_exclusive 3));
-      ("x1-4", Ses_core.Automaton.of_pattern (Q.exp1_exclusive 4));
-    ]
-  in
-  let multi_with domains =
-    let options =
-      { Ses_core.Engine.default_options with Ses_core.Engine.domains }
-    in
-    time (fun () ->
-        Ses_core.Multi.run ~options (queries ())
-          (Ses_event.Relation.to_seq d))
-  in
-  let m1, m1_s = multi_with 1 in
-  let m4, m4_s = multi_with 4 in
-  List.iter2
-    (fun (name, (o1 : Ses_core.Engine.outcome)) (_, (o4 : Ses_core.Engine.outcome)) ->
-      if
-        List.length o1.Ses_core.Engine.matches
-        <> List.length o4.Ses_core.Engine.matches
-      then
-        Printf.eprintf
-          "warning: multi mismatch on %s: 4 domains found %d matches, 1 domain %d\n"
-          name
-          (List.length o4.Ses_core.Engine.matches)
-          (List.length o1.Ses_core.Engine.matches))
-    m1 m4;
-  (* Honest reporting on starved hardware: with a single visible core
-     the multi-domain leg only measures queueing overhead, so a speedup
-     figure would be noise presented as signal — emit a note instead and
-     skip the speedup claim entirely. *)
-  let cores = Ses_core.Domain_pool.recommended () in
-  let multi_tail =
-    if cores <= 1 then
-      ",\n    \"speedup_note\": \"single visible core: multi-domain runs \
-       measure queueing overhead, not parallel speedup\""
-    else Printf.sprintf ", \"speedup\": %.2f" (m1_s /. m4_s)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"cores_available\": %d,\n\
-      \  \"multi\": {\n\
-      \    \"queries\": 4, \"events\": %d,\n\
-      \    \"one_domain_s\": %.6f, \"four_domains_s\": %.6f%s\n\
-      \  }\n\
-       }"
-      cores n_events m1_s m4_s multi_tail
-  in
-  Printf.printf "Domain-parallel execution (JSON)\n";
-  Printf.printf "--------------------------------\n";
-  Printf.printf "%s\n\n" json;
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc
-
 (* Telemetry overhead: Q1 (group loop, ~19k events at 150 patients)
    through the plain engine, (a) with the default no-op sink — every
    probe is one untaken branch, so this leg is the pre-telemetry
@@ -404,7 +318,7 @@ let telemetry_bench () =
   output_char oc '\n';
   close_out oc
 
-(* Part 7: the batched execution core. A single-domain [`Plain] executor
+(* Part 6: the batched execution core. A single-domain [`Plain] executor
    over a duplicated random workload (D1–D5-style: ~1M events as dense
    simultaneous arrivals over ~1k independent entity ids), evaluating an
    ID-joined two-set sequence under the strong event filter in the
@@ -553,7 +467,7 @@ let batch_bench () =
       n_events !kept
       (spec.RW.n_ids * copies)
       n_raw_1
-      (Ses_core.Domain_pool.recommended ())
+      (Domain.recommended_domain_count ())
       reps
       (String.concat ",\n" (List.map leg runs))
       tuned_batch Ses_core.Engine.default_batch_size
@@ -575,7 +489,7 @@ let batch_bench () =
   output_char oc '\n';
   close_out oc
 
-(* Part 8: index-accelerated access paths. The batched-core workload
+(* Part 7: index-accelerated access paths. The batched-core workload
    (~1M events as dense simultaneous arrivals over ~1k entity keys)
    evaluated through {!Ses_harness.Access_exec} with the access path
    forced both ways, across a selectivity sweep: an ID-pinned equality
@@ -720,7 +634,7 @@ let index_bench () =
        }"
       n_events
       (spec.RW.n_ids * copies)
-      (Ses_core.Domain_pool.recommended ())
+      (Domain.recommended_domain_count ())
       reps prepare_s
       (String.concat ",\n" (List.map leg_json legs))
   in
@@ -830,7 +744,6 @@ let run_micro () =
 
 let () =
   if store_only then store_bench ()
-  else if parallel_only then parallel_bench ()
   else if telemetry_only then telemetry_bench ()
   else if batch_only then batch_bench ()
   else if index_only then index_bench ()
@@ -839,7 +752,6 @@ let () =
     if not no_stream then stream_bench ();
     if not no_micro then run_micro ();
     store_bench ();
-    parallel_bench ();
     telemetry_bench ();
     batch_bench ();
     index_bench ()

@@ -208,16 +208,6 @@ let telemetry_arg =
            Prometheus text exposition format, anything else JSON. Without \
            this flag every probe is a disabled branch.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for several -q queries (default 1 = \
-           sequential). With N > 1 the queries are spread across N OCaml \
-           domains; a single query always runs on one domain. Matching \
-           output is identical to the sequential run.")
-
 let batch_arg =
   Arg.(
     value & opt int Ses_core.Engine.default_batch_size
@@ -227,10 +217,8 @@ let batch_arg =
            bench harness). Events are fed through the executors N at a \
            time — the CSV scan yields filtered chunks, per-batch engine \
            work (event filter, expiry sweep, telemetry probes) amortizes \
-           over each chunk, and parallel -q queries receive the feed in \
-           whole chunks over their worker queues. Matching output is \
-           identical at every batch size; N=1 recovers per-event \
-           delivery.")
+           over each chunk. Matching output is identical at every batch \
+           size; N=1 recovers per-event delivery.")
 
 let explain_arg =
   Arg.(
@@ -350,14 +338,10 @@ let run_single_match ~options ~strategy ~query ~query_file ~data explain
     Format.printf "pushed filter: %s@." pushed
   end
 
-let run_match data queries query_file strategy domains batch explain filter
-    policy store telemetry show_metrics show_raw table =
+let run_match data queries query_file strategy batch explain filter policy
+    store telemetry show_metrics show_raw table =
   Ses_baseline.Brute_force.register ();
   Ses_analysis.Analyzer.register ();
-  if domains < 1 then begin
-    prerr_endline "error: --domains must be at least 1";
-    exit 1
-  end;
   if batch < 1 then begin
     prerr_endline "error: --batch must be at least 1";
     exit 1
@@ -372,7 +356,6 @@ let run_match data queries query_file strategy domains batch explain filter
         Ses_core.Engine.filter;
         policy;
         store;
-        domains;
         batch_size = batch;
         telemetry = recorder;
       }
@@ -399,8 +382,8 @@ let run_match data queries query_file strategy domains batch explain filter
      exit 1);
   match telemetry, recorder with
   | Some dest, Some tl ->
-      (* All executors have closed (and joined their domains) by now, so
-         the snapshot reads quiesced probes. *)
+      (* Every executor has closed by now, so the profile covers the
+         whole run. *)
       let profile = Ses_core.Telemetry.snapshot tl in
       let text =
         if Filename.check_suffix dest ".prom" then
@@ -429,7 +412,7 @@ let match_cmd =
     (Cmd.info "match" ~doc:"Run one or more SES patterns over a stored relation")
     Term.(
       const run_match $ data_arg $ match_queries_arg $ query_file_arg
-      $ strategy_arg $ domains_arg $ batch_arg $ explain_arg
+      $ strategy_arg $ batch_arg $ explain_arg
       $ filter_arg $ policy_arg
       $ store_arg $ telemetry_arg $ show_metrics_arg $ show_raw_arg
       $ table_arg)

@@ -84,18 +84,17 @@ type options = {
           {!create} and tested only when a transition fires. *)
   store : store_kind;  (** pool representation (default [Indexed]) *)
   domains : int;
-      (** worker domains for several queries (default 1 = fully
-          sequential): {!Multi} spreads its queries across this many
-          domains. A single query always runs on one domain; no
-          executor reads this. *)
+      (** Read by nothing (default 1). It stays only because the
+          end-to-end benchmark's traced replay
+          ([bench/e2e/traced.ml]) still sets it, and goes once that
+          line does. *)
   batch_size : int;
       (** the unit of work on the batched hot path (default
           {!default_batch_size}, tuned by [bench --batch-only]): the
-          chunk size {!Executor.drive} and the stream runner feed
-          through {!feed_batch}, and the producer-side buffer limit for
-          domain-parallel {!Multi}'s worker queues. The engine itself
-          accepts any batch size through {!feed_batch}; this option only
-          sets how callers chunk. *)
+          chunk size {!Executor.drive}, {!Multi.run} and the stream
+          runner feed through {!feed_batch}. The engine itself accepts
+          any batch size through {!feed_batch}; this option only sets
+          how callers chunk. *)
   telemetry : Telemetry.sink;
       (** instrumentation recorder (default [None] = no-op: every probe
           on the hot path costs one branch). The engine plants [filter],

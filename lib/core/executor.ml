@@ -14,9 +14,9 @@ let strategy_name = function
 let strategy_of_string s =
   match String.lowercase_ascii s with
   | "auto" -> Ok `Auto
-  | "plain" | "engine" -> Ok `Plain
+  | "plain" -> Ok `Plain
   | "naive" -> Ok `Naive
-  | "brute-force" | "brute_force" | "bf" -> Ok `Brute_force
+  | "brute-force" -> Ok `Brute_force
   | other ->
       Error
         (Printf.sprintf
@@ -44,13 +44,6 @@ module type EXECUTOR = sig
 
   val metrics : t -> Metrics.snapshot
 end
-
-(* Registry-wide default for executors without a native batched path:
-   feed one event at a time, concatenating completions in feed order. *)
-let batch_of_feed feed t es =
-  let acc = ref [] in
-  Array.iter (fun e -> acc := List.rev_append (feed t e) !acc) es;
-  List.rev !acc
 
 module Plain : EXECUTOR with type t = Engine.stream = struct
   type t = Engine.stream

@@ -23,17 +23,15 @@ type strategy = [ `Auto | `Plain | `Naive | `Brute_force ]
 (** [`Auto] runs {!Planner.plan}'s choice of levers; [`Plain] the bare
     {!Engine} (whose instance store already gives every strategy built
     on it key locality); [`Naive] the exhaustive Definition 2 oracle;
-    [`Brute_force] the one-automaton-per-ordering baseline of Sec. 5.2.
-
-    Every strategy runs a single query on the calling domain and ignores
-    [options.domains]: that count spreads several queries across worker
-    domains ({!Multi}). *)
+    [`Brute_force] the one-automaton-per-ordering baseline of Sec. 5.2. *)
 
 val strategies : strategy list
 
 val strategy_name : strategy -> string
 
 val strategy_of_string : string -> (strategy, string) result
+(** The inverse of {!strategy_name}, ignoring case: exactly the four
+    names [auto], [plain], [naive] and [brute-force]. *)
 
 module type EXECUTOR = sig
   type t
@@ -100,16 +98,6 @@ val of_strategy : strategy -> (module EXECUTOR)
     batched one. *)
 
 val register_brute_force : (module EXECUTOR) -> unit
-
-val batch_of_feed :
-  ('t -> Event.t -> Substitution.t list) ->
-  't ->
-  Event.t array ->
-  Substitution.t list
-(** [batch_of_feed feed t es] is the registry-wide default [feed_batch]:
-    a per-event loop concatenating completions in feed order. External
-    [EXECUTOR] implementations without a native batched path can use it
-    directly. *)
 
 (** {1 Packed executors}
 

@@ -67,7 +67,7 @@ type t = {
 }
 
 let register t r =
-  if t.sp_closed then invalid_arg "Shared_plan.register: plan is closed";
+  if t.sp_closed then invalid_arg "Multi.register: query set is closed";
   let options = t.sp_options in
   let mode, exec_options =
     match routing options r with
@@ -332,7 +332,7 @@ let population t =
   Array.fold_left (fun acc m -> acc + Executor.population m.m_exec) 0 t.sp_members
 
 let retire t name =
-  if t.sp_closed then invalid_arg "Shared_plan.retire: plan is closed";
+  if t.sp_closed then invalid_arg "Multi.unregister: query set is closed";
   let is_named m = String.equal m.m_reg.r_name name in
   match Array.find_opt is_named t.sp_members with
   | None -> invalid_arg ("Shared_plan.retire: unknown query " ^ name)

@@ -1,7 +1,6 @@
-(* Probe state is deliberately dumb: records of mutable ints (spans,
-   histograms, counters — single-writer) and Atomic.t cells (gauges —
-   shared across domains). Everything clever (merging, formatting)
-   happens at snapshot time, off the hot path. *)
+(* Probe state is deliberately dumb: records of mutable ints. Everything
+   clever (sorting, formatting) happens at snapshot time, off the hot
+   path. *)
 
 let default_clock () = int_of_float (Unix.gettimeofday () *. 1e9)
 
@@ -79,31 +78,23 @@ end
 
 module Gauge = struct
   type t = {
-    samples : int Atomic.t;
-    last : int Atomic.t;
-    peak : int Atomic.t;
+    mutable samples : int;
+    mutable last : int;
+    mutable peak : int;
   }
 
-  let make () =
-    { samples = Atomic.make 0; last = Atomic.make 0; peak = Atomic.make 0 }
-
-  let raise_peak g v =
-    let rec go () =
-      let p = Atomic.get g.peak in
-      if v > p && not (Atomic.compare_and_set g.peak p v) then go ()
-    in
-    go ()
+  let make () = { samples = 0; last = 0; peak = 0 }
 
   let observe g v =
-    Atomic.incr g.samples;
-    Atomic.set g.last v;
-    raise_peak g v
+    g.samples <- g.samples + 1;
+    g.last <- v;
+    if v > g.peak then g.peak <- v
 
-  let samples g = Atomic.get g.samples
+  let samples g = g.samples
 
-  let last g = Atomic.get g.last
+  let last g = g.last
 
-  let peak g = Atomic.get g.peak
+  let peak g = g.peak
 end
 
 module Counter = struct
@@ -124,7 +115,6 @@ type t = {
   histograms : (string, Histogram.t) Hashtbl.t;
   gauges : (string, Gauge.t) Hashtbl.t;
   counters : (string, Counter.t) Hashtbl.t;
-  mutable children : t list;
 }
 
 type sink = t option
@@ -136,13 +126,7 @@ let create ?(clock = default_clock) () =
     histograms = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     counters = Hashtbl.create 16;
-    children = [];
   }
-
-let fork parent =
-  let child = create ~clock:parent.clock () in
-  parent.children <- child :: parent.children;
-  child
 
 let now t = t.clock ()
 
@@ -197,59 +181,7 @@ let trim_trailing_zeros a =
   done;
   Array.sub a 0 !n
 
-let merge_span a b =
-  {
-    span_count = a.span_count + b.span_count;
-    span_total_ns = a.span_total_ns + b.span_total_ns;
-    span_max_ns = max a.span_max_ns b.span_max_ns;
-  }
-
-let merge_hist a b =
-  let n = max (Array.length a.hist_buckets) (Array.length b.hist_buckets) in
-  let get arr i = if i < Array.length arr then arr.(i) else 0 in
-  {
-    hist_count = a.hist_count + b.hist_count;
-    hist_sum = a.hist_sum + b.hist_sum;
-    hist_max = max a.hist_max b.hist_max;
-    hist_buckets =
-      Array.init n (fun i -> get a.hist_buckets i + get b.hist_buckets i);
-  }
-
-(* Shard lasts have no global order, so the merged [last] takes the max
-   — deterministic, and for level-like gauges a value the system held. *)
-let merge_gauge a b =
-  {
-    gauge_samples = a.gauge_samples + b.gauge_samples;
-    gauge_last = max a.gauge_last b.gauge_last;
-    gauge_peak = max a.gauge_peak b.gauge_peak;
-  }
-
-let merge_assoc merge xs ys =
-  let table = Hashtbl.create 16 in
-  let absorb (name, v) =
-    match Hashtbl.find_opt table name with
-    | None -> Hashtbl.replace table name v
-    | Some v' -> Hashtbl.replace table name (merge v' v)
-  in
-  List.iter absorb xs;
-  List.iter absorb ys;
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun name v acc -> (name, v) :: acc) table [])
-
-let empty_profile = { spans = []; histograms = []; gauges = []; counters = [] }
-
-let merge_two a b =
-  {
-    spans = merge_assoc merge_span a.spans b.spans;
-    histograms = merge_assoc merge_hist a.histograms b.histograms;
-    gauges = merge_assoc merge_gauge a.gauges b.gauges;
-    counters = merge_assoc ( + ) a.counters b.counters;
-  }
-
-let merge_profiles = List.fold_left merge_two empty_profile
-
-let own_profile (t : t) =
+let snapshot (t : t) =
   let sorted fold table conv =
     List.sort
       (fun (a, _) (b, _) -> String.compare a b)
@@ -280,13 +212,6 @@ let own_profile (t : t) =
           });
     counters = sorted Hashtbl.fold t.counters Counter.value;
   }
-
-let snapshot t =
-  let rec collect t acc =
-    List.fold_left (fun acc c -> collect c acc) (own_profile t :: acc)
-      t.children
-  in
-  merge_profiles (collect t [])
 
 (* JSON export: fixed section order, sorted names, one named probe per
    line — line-oriented filters (the cram tests) rely on this shape. *)

@@ -11,14 +11,8 @@
     hot path. Handles ({!span}, {!histogram}, …) are resolved once at
     stream-construction time, never per event.
 
-    {b Threading.} Spans, histograms and counters are plain mutable
-    state: each handle must be written by one domain at a time.
-    Domain-parallel {!Multi} honours this by {!fork}ing one child
-    recorder per worker and writing only to its own; gauges are atomic
-    and may be shared across domains. {!snapshot} reads children
-    without locks — call it only after the workers have quiesced
-    ([Multi]'s reads and [close] already impose exactly that
-    discipline).
+    {b Threading.} Every probe is plain mutable state, with no
+    synchronization: write and {!snapshot} a recorder from one domain.
 
     {b Clock.} Durations come from the recorder's clock, a
     [unit -> int] returning nanoseconds. The default is derived from
@@ -34,13 +28,6 @@ type sink = t option
 val create : ?clock:(unit -> int) -> unit -> t
 (** A fresh recorder. [clock] returns the current time in nanoseconds
     and defaults to a [Unix.gettimeofday]-based reading. *)
-
-val fork : t -> t
-(** A child recorder sharing the parent's clock. {!snapshot} of the
-    parent merges every descendant's probes name-by-name (see
-    {!profile} for the merge rules), so a domain-parallel executor
-    gives each worker its own child and exports one unified profile.
-    Fork before handing the child to another domain. *)
 
 val now : t -> int
 (** The recorder's clock, in nanoseconds — for derived rates (rows/sec)
@@ -100,7 +87,6 @@ end
 
 module Gauge : sig
   type t
-  (** Atomic: safe to share across domains. *)
 
   val observe : t -> int -> unit
   (** Sample an absolute level: sets [last], raises [peak]. *)
@@ -134,12 +120,7 @@ val counter : t -> string -> Counter.t
 
 (** {1 Profiles}
 
-    An exported snapshot: plain data, sorted by probe name. Merging —
-    across {!fork}ed shards, or of two profiles — is name-by-name:
-    span counts/totals sum and maxima take the max; histograms add
-    bucket-wise (counts and sums sum, maxima max); gauge samples sum,
-    peaks take the max, [last] the max of lasts (shard lasts have no
-    global order); counters sum. *)
+    An exported snapshot: plain data, sorted by probe name. *)
 
 type span_data = {
   span_count : int;
@@ -168,10 +149,7 @@ type profile = {
 }
 
 val snapshot : t -> profile
-(** The recorder's probes merged with all its descendants'. Quiesce
-    worker domains first. *)
-
-val merge_profiles : profile list -> profile
+(** The recorder's probes, as they stand. *)
 
 val to_json : profile -> string
 (** Deterministic layout: sections in a fixed order, names sorted, one

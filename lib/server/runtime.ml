@@ -25,8 +25,7 @@ type config = {
 let default_config ~schema =
   {
     schema;
-    (* Runtime register/unregister needs a sequential query set. *)
-    options = { Engine.default_options with Engine.domains = 1 };
+    options = Engine.default_options;
     queue_capacity = 1024;
     overflow = Block;
     idle_timeout = 0.;
@@ -71,7 +70,6 @@ let create cfg =
   let cfg =
     {
       cfg with
-      options = { cfg.options with Engine.domains = 1 };
       queue_capacity = max 1 cfg.queue_capacity;
       drain_quota = max 1 cfg.drain_quota;
     }

@@ -27,7 +27,7 @@ type overflow =
 
 type config = {
   schema : Schema.t;  (** row schema for EVENT/BATCH lines *)
-  options : Engine.options;  (** engine options; [domains] forced to 1 *)
+  options : Engine.options;  (** options of every tenant's query set *)
   queue_capacity : int;  (** per-tenant ingest queue bound *)
   overflow : overflow;
   idle_timeout : float;  (** seconds; 0 disables *)

@@ -122,9 +122,18 @@ let test_strategy_names () =
             (Ses_core.Executor.strategy_name s)
       | Error msg -> Alcotest.fail msg)
     all_strategies;
-  (match Ses_core.Executor.strategy_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "bogus strategy accepted"
-  | Error _ -> ());
+  (match Ses_core.Executor.strategy_of_string "Brute-Force" with
+  | Ok s ->
+      Alcotest.(check string) "case-insensitive" "brute-force"
+        (Ses_core.Executor.strategy_name s)
+  | Error msg -> Alcotest.fail msg);
+  (* one name per strategy: no aliases *)
+  List.iter
+    (fun name ->
+      match Ses_core.Executor.strategy_of_string name with
+      | Ok _ -> Alcotest.failf "strategy %S accepted" name
+      | Error _ -> ())
+    [ "bogus"; "engine"; "brute_force"; "bf" ];
   List.iter
     (fun strategy ->
       let (module E : Ses_core.Executor.EXECUTOR) =

@@ -313,18 +313,21 @@ let test_invalid_arguments () =
   Alcotest.(check int) "reuse after unregister" (List.length queries)
     (List.length (Multi.names t2));
   ignore (Multi.close t2);
-  let par_options = { Engine.default_options with Engine.domains = 2 } in
-  let tp = Multi.create_mixed ~options:par_options queries in
-  Alcotest.check_raises "parallel register"
-    (Invalid_argument
-       "Multi.register: domain-parallel query sets are fixed at creation")
-    (fun () ->
-      Multi.register tp ("extra", (fun (_, a, _) -> a) (List.hd queries), `Plain));
-  Alcotest.check_raises "parallel unregister"
-    (Invalid_argument
-       "Multi.unregister: domain-parallel query sets are fixed at creation")
-    (fun () -> ignore (Multi.unregister tp "solo"));
-  ignore (Multi.close tp)
+  (* a closed query set takes no query, retires none and is fed nothing *)
+  Alcotest.check_raises "register after close"
+    (Invalid_argument "Multi.register: query set is closed") (fun () ->
+      Multi.register t2 ("extra", (fun (_, a, _) -> a) (List.hd queries), `Plain));
+  Alcotest.check_raises "unregister after close"
+    (Invalid_argument "Multi.unregister: query set is closed") (fun () ->
+      ignore (Multi.unregister t2 "solo"));
+  Alcotest.check_raises "feed after close"
+    (Invalid_argument "Multi.feed: query set is closed") (fun () ->
+      ignore (Multi.feed t2 fixture_events.(0)));
+  Alcotest.check_raises "feed_batch after close"
+    (Invalid_argument "Multi.feed_batch: query set is closed") (fun () ->
+      ignore (Multi.feed_batch t2 [| fixture_events.(0) |]));
+  Alcotest.(check int) "a second close flushes nothing" 0
+    (List.length (Multi.close t2))
 
 (* ---- random differential ---- *)
 

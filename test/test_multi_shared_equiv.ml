@@ -53,8 +53,7 @@ let observed (o : Engine.outcome) =
     o_metrics = o.Engine.metrics;
   }
 
-let observe ?(options = Engine.default_options) ~domains ~batch queries r =
-  let options = { options with Engine.domains } in
+let observe ?(options = Engine.default_options) ~batch queries r =
   let t = Multi.create_mixed ~options queries in
   feed_in ~batch ~feed:(Multi.feed t) ~feed_batch:(Multi.feed_batch t)
     (Array.of_seq (Relation.to_seq r));
@@ -93,21 +92,17 @@ let equivalent ~exact_metrics reference shared =
        reference shared
 
 let batch_grid = [ None; Some 1; Some 64; Some 4096 ]
-let domain_grid = [ 1; 2; 4 ]
 
 let check_all_layouts ?options name queries r =
   List.iter
     (fun batch ->
-      let reference = reference ?options ~batch queries r in
-      List.iter
-        (fun domains ->
-          let shared = observe ?options ~domains ~batch queries r in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %d domains, batch %s" name domains
-               (match batch with None -> "per-event" | Some b -> string_of_int b))
-            true
-            (equivalent ~exact_metrics:(batch = None) reference shared))
-        domain_grid)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: batch %s" name
+           (match batch with None -> "per-event" | Some b -> string_of_int b))
+        true
+        (equivalent ~exact_metrics:(batch = None)
+           (reference ?options ~batch queries r)
+           (observe ?options ~batch queries r)))
     batch_grid
 
 (* ---- deterministic common-prefix fixture ---- *)
@@ -331,12 +326,9 @@ let shared_equals_independent =
       let r = Random_workload.relation rng Random_workload.default_relation in
       List.for_all
         (fun batch ->
-          let reference = reference ~batch queries r in
-          List.for_all
-            (fun domains ->
-              equivalent ~exact_metrics:(batch = None) reference
-                (observe ~domains ~batch queries r))
-            domain_grid)
+          equivalent ~exact_metrics:(batch = None)
+            (reference ~batch queries r)
+            (observe ~batch queries r))
         batch_grid)
 
 let shared_equals_independent_strong =
@@ -353,7 +345,7 @@ let shared_equals_independent_strong =
         (fun batch ->
           equivalent ~exact_metrics:(batch = None)
             (reference ~options ~batch queries r)
-            (observe ~options ~domains:1 ~batch queries r))
+            (observe ~options ~batch queries r))
         batch_grid)
 
 let suite =

@@ -1,7 +1,7 @@
 (* Unit tests for the instrumentation layer: log2 histogram bucket
-   edges, span nesting under a deterministic clock, merge of forked
-   per-shard recorders, gauge/counter semantics, and round-tripping an
-   exported profile through its JSON rendering. *)
+   edges, span nesting under a deterministic clock, gauge/counter
+   semantics, and round-tripping an exported profile through its JSON
+   rendering. *)
 
 open Ses_core
 
@@ -120,48 +120,6 @@ let test_span_record_and_exceptions () =
   Alcotest.(check int) "total unchanged by clamp" 11
     (Telemetry.Span.total_ns s)
 
-(* Forked recorders merge name-by-name at snapshot: histogram counts and
-   sums add, maxima take the max; span counts/totals add; counters sum;
-   gauge peaks max. *)
-let test_fork_merge () =
-  let clock, advance = manual_clock () in
-  let tl = Telemetry.create ~clock () in
-  let shard1 = Telemetry.fork tl in
-  let shard2 = Telemetry.fork tl in
-  let h1 = Telemetry.histogram shard1 "scan" in
-  let h2 = Telemetry.histogram shard2 "scan" in
-  List.iter (Telemetry.Histogram.observe h1) [ 1; 8 ];
-  List.iter (Telemetry.Histogram.observe h2) [ 8; 300 ];
-  let s1 = Telemetry.span shard1 "work" in
-  let s2 = Telemetry.span shard2 "work" in
-  let t1 = Telemetry.Span.start s1 in
-  advance 10;
-  Telemetry.Span.stop s1 t1;
-  let t2 = Telemetry.Span.start s2 in
-  advance 4;
-  Telemetry.Span.stop s2 t2;
-  Telemetry.Counter.add (Telemetry.counter shard1 "n") 3;
-  Telemetry.Counter.add (Telemetry.counter shard2 "n") 5;
-  let p = Telemetry.snapshot tl in
-  let hist = List.assoc "scan" p.Telemetry.histograms in
-  Alcotest.(check int) "hist count sums" 4 hist.Telemetry.hist_count;
-  Alcotest.(check int) "hist sum sums" 317 hist.Telemetry.hist_sum;
-  Alcotest.(check int) "hist max maxes" 300 hist.Telemetry.hist_max;
-  let merged = hist.Telemetry.hist_buckets in
-  Alcotest.(check int) "bucket 0 sums" 1 merged.(0);
-  Alcotest.(check int) "bucket 3 sums" 2 merged.(3);
-  Alcotest.(check int) "bucket 8 sums" 1 merged.(8);
-  let span = List.assoc "work" p.Telemetry.spans in
-  Alcotest.(check int) "span count sums" 2 span.Telemetry.span_count;
-  Alcotest.(check int) "span total sums" 14 span.Telemetry.span_total_ns;
-  Alcotest.(check int) "span max maxes" 10 span.Telemetry.span_max_ns;
-  Alcotest.(check int) "counter sums" 8 (List.assoc "n" p.Telemetry.counters);
-  (* merge_profiles over explicit snapshots agrees with fork+snapshot *)
-  let p1 = Telemetry.snapshot shard1 in
-  let p2 = Telemetry.snapshot shard2 in
-  Alcotest.(check bool) "merge_profiles = snapshot of parent" true
-    (profile_eq p (Telemetry.merge_profiles [ p1; p2 ]))
-
 let test_gauge () =
   let tl = Telemetry.create () in
   let g = Telemetry.gauge tl "pop" in
@@ -241,7 +199,6 @@ let suite =
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span record + exceptions" `Quick
       test_span_record_and_exceptions;
-    Alcotest.test_case "fork + merge" `Quick test_fork_merge;
     Alcotest.test_case "gauges" `Quick test_gauge;
     Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "JSON rejects garbage" `Quick test_json_rejects_garbage;

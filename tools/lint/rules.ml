@@ -113,12 +113,8 @@ let phys_equal_allowed path =
     ]
 
 (* Where a swallowed exception is load-bearing for liveness: the
-   select-loop server must never lose a protocol error, and the domain
-   pool's failure channel is the only way a worker exception reaches
-   the caller. *)
-let swallowed_is_error path =
-  has_prefix ~prefix:"lib/server/" path
-  || String.equal path "lib/core/domain_pool.ml"
+   select-loop server must never lose a protocol error. *)
+let swallowed_is_error path = has_prefix ~prefix:"lib/server/" path
 
 (* ------------------------------------------------------------------ *)
 (* Locations                                                          *)
