@@ -383,7 +383,17 @@ let run_match data queries query_file strategy batch explain filter policy
   match telemetry, recorder with
   | Some dest, Some tl ->
       (* Every executor has closed by now, so the profile covers the
-         whole run. *)
+         whole run. The process's allocation so far, read just before the
+         snapshot, joins it as two counters; the snapshot itself reads no
+         GC state, so in-process profiles stay comparable. *)
+      let minor, promoted, _ = Gc.counters () in
+      let gc name words =
+        Ses_core.Telemetry.Counter.add
+          (Ses_core.Telemetry.counter tl name)
+          (int_of_float words)
+      in
+      gc "gc.minor_words" minor;
+      gc "gc.promoted_words" promoted;
       let profile = Ses_core.Telemetry.snapshot tl in
       let text =
         if Filename.check_suffix dest ".prom" then

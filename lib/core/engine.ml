@@ -75,7 +75,9 @@ type dead_check = {
    [dead_checks] is empty unless [prune_dead]. [pin] is the attribute
    A' of a condition u.A = v.A' with (u, A) in the source state's key
    class (see [component]): the transition can fire only on an event
-   whose A' equals the instance's key. -1 when there is none. *)
+   whose A' equals the instance's key. -1 when there is none. [passed]
+   is the stream stamp of the last event that satisfied the constant
+   atoms (see [n_candidates]). *)
 type prepared_transition = {
   transition : Automaton.transition;
   const_conds : Condition.t list;
@@ -83,6 +85,7 @@ type prepared_transition = {
   tgt_bucket : instance Instance_store.handle;
   dead_checks : dead_check list;
   pin : int;
+  mutable passed : int;
 }
 
 (* A negation guard: the variable whose occurrence kills, with its
@@ -130,24 +133,30 @@ type observation =
    per stream: outgoing transitions (split for the constant pre-check),
    the negation guards armed exactly there, whether it accepts, and the
    interned instance-store bucket — so the per-event loop runs over a
-   flat array with zero hashtable probes. [active]/[active_stamp] cache
-   the transitions surviving the constant pre-check for the event with
-   stamp [active_stamp]; bumping the stream stamp invalidates every
-   slot's cache at once. *)
+   flat array with zero hashtable probes. [n_active]/[active_stamp]
+   cache how many transitions survive the constant pre-check for the
+   event with stamp [active_stamp] (each survivor's [passed] holds that
+   stamp); bumping the stream stamp invalidates every slot's cache at
+   once. *)
 type slot = {
   slot_state : Varset.t;
   accepting : bool;
   prepared : prepared_transition list;
+  n_prepared : int;
   guards : guard list;
   bucket : instance Instance_store.handle;
-  mutable active : prepared_transition list;
+  mutable n_active : int;
   mutable active_stamp : int;
 }
 
 (* The two population representations behind the [store] option: the
    reference flat list (the paper's Ω, scanned in full per event) and the
-   state-indexed store. *)
-type flat_pool = { mutable omega : instance list }
+   state-indexed store. [survivors] collects the next Ω during one
+   event, newest first. *)
+type flat_pool = {
+  mutable omega : instance list;
+  mutable survivors : instance list;
+}
 
 type population =
   | Omega of flat_pool
@@ -165,6 +174,7 @@ type probes = {
 
 type stream = {
   automaton : Automaton.t;
+  tau : Time.duration;
   options : options;
   filter : Event_filter.t;
   max_counts : int option array;  (** per-variable quantifier maxima *)
@@ -186,7 +196,15 @@ type stream = {
           instead of the old per-event [Hashtbl.reset] of an active table *)
   mutable next_id : int;
   mutable emissions : Substitution.t list;  (** newest first *)
-  mutable last_ts : Time.t option;
+  mutable completed : Substitution.t list;
+      (** emissions of the feed, advance or close in progress, newest
+          first; handed out and reset when it returns *)
+  mutable last_ts : Time.t;  (** [min_int] before the first timestamp *)
+  mutable cur_slot : slot;
+  mutable cur_event : Event.t;
+      (** the slot and event a bucket walk is consuming: the walk's step
+          is a top-level function of the stream, so a walk allocates no
+          closure *)
   mutable observer : (observation -> unit) option;
   mutable filter_buf : Event.t array;
       (** scratch for the batched filter pass, grown to the largest chunk
@@ -387,11 +405,13 @@ let create ?(options = default_options) automaton =
               tgt_bucket = Instance_store.handle store tr.tgt;
               dead_checks = dead_checks tr;
               pin = pin tr.var tr.conds;
+              passed = 0;
             })
           trs;
+      n_prepared = List.length trs;
       guards;
       bucket;
-      active = [];
+      n_active = 0;
       active_stamp = 0;
     }
   in
@@ -403,6 +423,7 @@ let create ?(options = default_options) automaton =
   let start_slot = Hashtbl.find slot_of (Automaton.start automaton) in
   {
     automaton;
+    tau = Automaton.tau automaton;
     options;
     filter = Event_filter.make ~extra:options.filter_extras p options.filter;
     max_counts =
@@ -426,7 +447,7 @@ let create ?(options = default_options) automaton =
       };
     pop =
       (match options.store with
-      | Flat -> Omega { omega = [] }
+      | Flat -> Omega { omega = []; survivors = [] }
       | Indexed -> Store store);
     probes =
       Option.map
@@ -442,16 +463,16 @@ let create ?(options = default_options) automaton =
     stamp = 0;
     next_id = 1;
     emissions = [];
-    last_ts = None;
+    completed = [];
+    last_ts = min_int;
+    cur_slot = start_slot;
+    cur_event = Event.make ~seq:0 ~ts:0 [||];
     observer = None;
     filter_buf = [||];
     m = Metrics.create ();
   }
 
 let set_observer st observer = st.observer <- observer
-
-let observe st obs =
-  match st.observer with None -> () | Some f -> f obs
 
 let substitution_of inst = List.rev inst.bindings
 
@@ -467,62 +488,86 @@ let is_fresh inst = inst.bindings = []
 
 (* Whether [inst]'s window has closed by time [ts]. *)
 let expired tau inst ts =
-  (not (is_fresh inst)) && Time.span ts inst.first_ts > tau
+  (not (is_fresh inst)) && Instance_store.expired ~now:ts ~tau inst.first_ts
+
+(* The per-event path below allocates only what it keeps — a successor,
+   its counts and its binding — so its checks are plain recursions over
+   lists, with no closure, and a bucket walk's step is the top-level
+   [step] reading the stream's [cur_slot] and [cur_event]. *)
 
 let const_holds c e =
   (* Constant conditions mention exactly one variable; binding it to [e]
-     needs no buffer lookup. *)
-  Condition.holds_binding c ~var:c.Condition.var ~event:e (fun _ -> [])
+     needs no buffer. *)
+  Condition.holds_on c ~var:c.Condition.var ~event:e []
 
-let bucket_of slot = slot.bucket
+let rec consts_hold e = function
+  | [] -> true
+  | c :: rest -> const_holds c e && consts_hold e rest
 
-(* Transitions of [slot] worth trying on event [e]. Without the constant
-   pre-check this is every outgoing transition; with it, transitions
-   whose constant atoms [e] fails are pruned once per event — the stamp
-   check makes the cache hit a pair of integer reads, shared by all
-   instances in the state. *)
-let candidate_transitions st slot e =
-  if not st.options.precheck_constants then slot.prepared
-  else if slot.active_stamp = st.stamp then slot.active
+let rec mark_passed stamp e n = function
+  | [] -> n
+  | pt :: rest ->
+      if consts_hold e pt.const_conds then begin
+        pt.passed <- stamp;
+        mark_passed stamp e (n + 1) rest
+      end
+      else mark_passed stamp e n rest
+
+(* How many transitions of [slot] are worth trying on event [e]. Without
+   the constant pre-check this is every outgoing transition; with it,
+   transitions whose constant atoms [e] fails are pruned once per event —
+   the survivors carry the event's stamp in [passed], and the stamp check
+   makes the cache hit a pair of integer reads, shared by all instances
+   in the state. *)
+let n_candidates st slot e =
+  if not st.options.precheck_constants then slot.n_prepared
   else begin
-    let trs =
-      List.filter
-        (fun pt -> List.for_all (fun c -> const_holds c e) pt.const_conds)
-        slot.prepared
-    in
-    slot.active <- trs;
-    slot.active_stamp <- st.stamp;
-    trs
+    if slot.active_stamp <> st.stamp then begin
+      slot.n_active <- mark_passed st.stamp e 0 slot.prepared;
+      slot.active_stamp <- st.stamp
+    end;
+    slot.n_active
   end
+
+(* Whether [pt] survived the current event's pre-check; valid once
+   [n_candidates] has run on its slot for that event. *)
+let is_candidate st pt =
+  (not st.options.precheck_constants) || pt.passed = st.stamp
 
 (* Whether negation guard [g] could kill on event [e]: [e] satisfies its
    constant atoms. *)
-let guard_may_fire g e = List.for_all (fun c -> const_holds c e) g.guard_consts
+let guard_may_fire g e = consts_hold e g.guard_consts
 
-(* Whether some negation guard armed at [slot] could kill on event [e].
-   Shared per bucket per event by the indexed store's skip decision. *)
-let guards_may_fire slot e =
-  slot.guards <> [] && List.exists (fun g -> guard_may_fire g e) slot.guards
+(* Whether some negation guard of a slot could kill on event [e]. Shared
+   per bucket per event by the indexed store's skip decision. *)
+let rec guards_may_fire e = function
+  | [] -> false
+  | g :: rest -> guard_may_fire g e || guards_may_fire e rest
 
 (* The sub-bucket of [slot] that event [e] can affect. An instance keyed
    under k can neither fire a transition pinned to an attribute on which
    [e] holds a value other than k, nor be killed by such a guard. So when
-   every transition in [trs] and every guard that may fire is pinned,
+   every candidate transition and every guard that may fire is pinned,
    all to one value of [e], only that key's instances need a visit:
-   [Some] that value. [None] (walk the whole state) otherwise — in an
-   unkeyed state every pin is -1. *)
-let rec first_key e = function
-  | [] -> None
+   [probe_attr] is the attribute of [e] holding that value, and -1 (walk
+   the whole state) otherwise — in an unkeyed state every pin is -1. *)
+let rec first_candidate_pin st = function
+  | [] -> -1
+  | pt :: rest ->
+      if is_candidate st pt then pt.pin else first_candidate_pin st rest
+
+let rec first_guard_pin e = function
+  | [] -> -1
   | g :: rest ->
-      if guard_may_fire g e then
-        if g.guard_pin >= 0 then Some (Event.attr e g.guard_pin) else None
-      else first_key e rest
+      if guard_may_fire g e then g.guard_pin else first_guard_pin e rest
 
 let pinned e k a = a >= 0 && Value.equal k (Event.attr e a)
 
-let rec transitions_pinned e k = function
+let rec transitions_pinned st e k = function
   | [] -> true
-  | pt :: rest -> pinned e k pt.pin && transitions_pinned e k rest
+  | pt :: rest ->
+      ((not (is_candidate st pt)) || pinned e k pt.pin)
+      && transitions_pinned st e k rest
 
 let rec guards_pinned e k = function
   | [] -> true
@@ -530,26 +575,24 @@ let rec guards_pinned e k = function
       ((not (guard_may_fire g e)) || pinned e k g.guard_pin)
       && guards_pinned e k rest
 
-let probe_key slot e trs =
-  let key =
-    match trs with
-    | pt :: _ -> if pt.pin >= 0 then Some (Event.attr e pt.pin) else None
-    | [] -> first_key e slot.guards
+let probe_attr st slot e ~n_candidates =
+  let a =
+    if n_candidates > 0 then first_candidate_pin st slot.prepared
+    else first_guard_pin e slot.guards
   in
-  match key with
-  | Some k
-    when transitions_pinned e k trs && guards_pinned e k slot.guards ->
-      key
-  | Some _ | None -> None
+  if a < 0 then -1
+  else
+    let k = Event.attr e a in
+    if transitions_pinned st e k slot.prepared && guards_pinned e k slot.guards
+    then a
+    else -1
 
 (* Dead-instance pruning: a successor binding [e] is dead when, for some
    check, [e]'s value on [bound_field] differs from a partner value the
    source instance already holds. The check's variable must equal both
    (conjunctive decomposition), equality within one type is transitive,
    and it has no binding yet, so it can never bind and the successor
-   can never accept. Plain recursion over the source's bindings: no
-   closure, and nothing allocated but the boxed value of a timestamp
-   field. *)
+   can never accept. *)
 let rec partner_differs x w ev = function
   | [] -> false
   | (w', f) :: ps ->
@@ -567,118 +610,118 @@ let rec doomed e bindings = function
       bindings_differ (Event.get e dc.bound_field) dc.partners bindings
       || doomed e bindings rest
 
-(* ConsumeEvent (Algorithm 2): successors of [inst] — sitting in [slot] —
-   on event [e] are handed to [on_succ] (with the transition that fired
-   them) in transition order; a dead successor (see [doomed]) is
-   dropped instead, and its source is still consumed. Returns [true]
-   exactly when the instance survives unchanged, which lets the indexed
-   feed keep untouched survivors in bucket order without re-sorting —
-   fired or killed instances are consumed (replace-on-fire), a fresh
-   instance is never kept. *)
-let consume st slot inst e ~on_succ =
-  let lookup v =
-    List.rev
-      (List.filter_map
-         (fun (v', ev) -> if v' = v then Some ev else None)
-         inst.bindings)
-  in
-  let precheck = st.options.precheck_constants in
-  let fired = ref false in
-  List.iter
-    (fun pt ->
-      let tr = pt.transition in
-      (* Quantifier maximum: a loop must not bind beyond max. The
-         per-instance binding counts make this an array read. *)
-      let below_max =
-        match st.max_counts.(tr.var) with
-        | None -> true
-        | Some m ->
-            (not (Varset.mem tr.var tr.src)) || inst.counts.(tr.var) < m
-      in
-      let remaining = if precheck then pt.var_conds else tr.conds in
-      let ok =
-        below_max
-        && List.for_all
-             (fun c -> Condition.holds_binding c ~var:tr.var ~event:e lookup)
-             remaining
-      in
-      if ok then begin
-        fired := true;
-        if doomed e inst.bindings pt.dead_checks then begin
-          Metrics.on_pruned st.m;
-          (* No successor, so no buffer to build unless someone watches. *)
-          match st.observer with
-          | None -> ()
-          | Some f ->
-              let dc =
-                List.find
-                  (fun dc -> doomed e inst.bindings [ dc ])
-                  pt.dead_checks
-              in
-              f
-                (Pruned
-                   {
-                     event = e;
-                     transition = tr;
-                     buffer = List.rev ((tr.var, e) :: inst.bindings);
-                     dead_var = dc.dead_var;
-                   })
-        end
-        else begin
-          Metrics.on_transition st.m;
-          Metrics.on_instance_created st.m;
-          let counts = Array.copy inst.counts in
-          counts.(tr.var) <- counts.(tr.var) + 1;
-          let id = st.next_id in
-          st.next_id <- id + 1;
-          let successor =
-            {
-              id;
-              state = tr.tgt;
-              bindings = (tr.var, e) :: inst.bindings;
-              counts;
-              first_ts = (if is_fresh inst then Event.ts e else inst.first_ts);
-            }
-          in
-          (match st.observer with
-          | None -> ()
-          | Some f ->
-              let buffer = substitution_of successor in
-              f (Took { event = e; transition = tr; buffer }));
-          on_succ pt successor
-        end
-      end)
-    (candidate_transitions st slot e);
-  if !fired then false
-  else if is_fresh inst then false
+(* A successor joins the pool after the event: staged into its target
+   state's interned bucket, or onto the flat pool's next Ω. *)
+let stage st pt succ =
+  match st.pop with
+  | Store _ -> Instance_store.stage pt.tgt_bucket succ
+  | Omega o -> o.survivors <- succ :: o.survivors
+
+(* [pt] fires on [inst] and event [e]: stage the successor, or drop it
+   when it is dead (see [doomed]). *)
+let fire st inst e pt =
+  let tr = pt.transition in
+  if doomed e inst.bindings pt.dead_checks then begin
+    Metrics.on_pruned st.m;
+    (* No successor, so no buffer to build unless someone watches. *)
+    match st.observer with
+    | None -> ()
+    | Some f ->
+        let dc =
+          List.find (fun dc -> doomed e inst.bindings [ dc ]) pt.dead_checks
+        in
+        f
+          (Pruned
+             {
+               event = e;
+               transition = tr;
+               buffer = List.rev ((tr.var, e) :: inst.bindings);
+               dead_var = dc.dead_var;
+             })
+  end
   else begin
-    let killed =
-      slot.guards <> []
-      && List.exists
-           (fun g ->
-             List.for_all
-               (fun c ->
-                 Condition.holds_binding c ~var:g.neg_var ~event:e lookup)
-               g.guard_conds)
-           slot.guards
+    Metrics.on_transition st.m;
+    Metrics.on_instance_created st.m;
+    let counts = Array.copy inst.counts in
+    counts.(tr.var) <- counts.(tr.var) + 1;
+    let id = st.next_id in
+    st.next_id <- id + 1;
+    let successor =
+      {
+        id;
+        state = tr.tgt;
+        bindings = (tr.var, e) :: inst.bindings;
+        counts;
+        first_ts = (if is_fresh inst then Event.ts e else inst.first_ts);
+      }
     in
-    if killed then begin
-      Metrics.on_killed st.m;
-      (match st.observer with
-      | None -> ()
-      | Some f ->
-          let buffer = substitution_of inst in
-          f (Killed { event = e; state = inst.state; buffer }));
-      false
-    end
-    else begin
-      (match st.observer with
-      | None -> ()
-      | Some f ->
-          let buffer = substitution_of inst in
-          f (Ignored { event = e; state = inst.state; buffer }));
-      true
-    end
+    (match st.observer with
+    | None -> ()
+    | Some f ->
+        let buffer = substitution_of successor in
+        f (Took { event = e; transition = tr; buffer }));
+    stage st pt successor
+  end
+
+(* Quantifier maximum: a loop must not bind beyond max. The per-instance
+   binding counts make this an array read. *)
+let below_max st inst (tr : Automaton.transition) =
+  match st.max_counts.(tr.var) with
+  | None -> true
+  | Some m -> (not (Varset.mem tr.var tr.src)) || inst.counts.(tr.var) < m
+
+let rec conds_hold var e bindings = function
+  | [] -> true
+  | c :: rest ->
+      Condition.holds_on c ~var ~event:e bindings
+      && conds_hold var e bindings rest
+
+(* Fires, in transition order, every candidate transition whose
+   remaining conditions hold for [inst] and [e]; whether any fired. *)
+let rec fire_all st inst e fired = function
+  | [] -> fired
+  | pt :: rest ->
+      let tr = pt.transition in
+      let fires =
+        is_candidate st pt && below_max st inst tr
+        && conds_hold tr.var e inst.bindings
+             (if st.options.precheck_constants then pt.var_conds
+              else tr.conds)
+      in
+      if fires then fire st inst e pt;
+      fire_all st inst e (fired || fires) rest
+
+let rec killed e bindings = function
+  | [] -> false
+  | g :: rest ->
+      conds_hold g.neg_var e bindings g.guard_conds || killed e bindings rest
+
+(* ConsumeEvent (Algorithm 2): successors of [inst] — sitting in [slot] —
+   on event [e] are staged (see [fire]) in transition order. Returns
+   [true] exactly when the instance survives unchanged, which lets the
+   indexed feed keep untouched survivors in bucket order without
+   re-sorting — fired or killed instances are consumed (replace-on-fire),
+   a fresh instance is never kept. *)
+let consume st slot inst e =
+  ignore (n_candidates st slot e);
+  if fire_all st inst e false slot.prepared then false
+  else if is_fresh inst then false
+  else if killed e inst.bindings slot.guards then begin
+    Metrics.on_killed st.m;
+    (match st.observer with
+    | None -> ()
+    | Some f ->
+        let buffer = substitution_of inst in
+        f (Killed { event = e; state = inst.state; buffer }));
+    false
+  end
+  else begin
+    (match st.observer with
+    | None -> ()
+    | Some f ->
+        let buffer = substitution_of inst in
+        f (Ignored { event = e; state = inst.state; buffer }));
+    true
   end
 
 let minima_satisfied st inst =
@@ -687,9 +730,34 @@ let minima_satisfied st inst =
 let emit st inst =
   let subst = substitution_of inst in
   st.emissions <- subst :: st.emissions;
+  st.completed <- subst :: st.completed;
   Metrics.on_match st.m;
-  observe st (Emitted subst);
-  subst
+  match st.observer with None -> () | Some f -> f (Emitted subst)
+
+(* The emissions of the call in progress, oldest first. *)
+let take_completed st =
+  match st.completed with
+  | [] -> []
+  | completed ->
+      st.completed <- [];
+      List.rev completed
+
+(* An instance whose window has closed leaves the pool, and is emitted
+   when it is accepting. [event], the event that closed it, is narrated
+   with the [Expired]; a clock advance has none. *)
+let expire st event ~accepting inst =
+  Metrics.on_expired st.m;
+  let accepting = accepting && minima_satisfied st inst in
+  (match event with
+  | Some e -> observe_expired st e ~accepting inst
+  | None -> ());
+  if accepting then emit st inst
+
+let rec expire_all st event ~accepting = function
+  | [] -> ()
+  | inst :: rest ->
+      expire st event ~accepting inst;
+      expire_all st event ~accepting rest
 
 let population st =
   match st.pop with
@@ -700,10 +768,7 @@ let population st =
    verbatim for differential testing and for benchmarking the store
    against it. *)
 let feed_flat st o e =
-  let tau = Automaton.tau st.automaton in
   let accept = Automaton.accept st.automaton in
-  let completed = ref [] in
-  let survivors = ref [] in
   (* The flat loop interleaves expiry and consumption per instance, so
      one transition span covers the whole sweep (the probe map in
      docs/architecture.md notes the asymmetry with the indexed path). *)
@@ -712,108 +777,104 @@ let feed_flat st o e =
     | None -> 0
     | Some p -> Telemetry.Span.start p.transition_span
   in
+  o.survivors <- [];
   List.iter
     (fun inst ->
-      if expired tau inst (Event.ts e) then begin
-        Metrics.on_expired st.m;
-        let accepting =
-          Varset.equal inst.state accept && minima_satisfied st inst
-        in
-        observe_expired st e ~accepting inst;
-        if accepting then completed := emit st inst :: !completed
-      end
-      else begin
-        let slot = Hashtbl.find st.slot_of inst.state in
-        let kept =
-          consume st slot inst e ~on_succ:(fun _ succ ->
-              survivors := succ :: !survivors)
-        in
-        if kept then survivors := inst :: !survivors
-      end)
+      if expired st.tau inst (Event.ts e) then
+        expire st (Some e) ~accepting:(Varset.equal inst.state accept) inst
+      else if consume st (Hashtbl.find st.slot_of inst.state) inst e then
+        o.survivors <- inst :: o.survivors)
     (st.fresh :: o.omega);
-  o.omega <- List.rev !survivors;
+  o.omega <- List.rev o.survivors;
+  o.survivors <- [];
   let n = List.length o.omega in
   Metrics.sample_population st.m n;
-  (match st.probes with
+  match st.probes with
   | None -> ()
   | Some p ->
       Telemetry.Span.stop p.transition_span tok;
-      Telemetry.Gauge.observe p.population_gauge n);
-  List.rev !completed
+      Telemetry.Gauge.observe p.population_gauge n
+
+(* A bucket walk's step: [consume] on the stream's current slot and
+   event. *)
+let step st inst = consume st st.cur_slot inst st.cur_event
+
+(* The batched walk's step, with the fused expiry check first (see
+   [feed_indexed_batch]). The batched path runs without an observer, so
+   no [Expired] is narrated. *)
+let step_fused st inst =
+  if expired st.tau inst (Event.ts st.cur_event) then begin
+    expire st None ~accepting:st.cur_slot.accepting inst;
+    false
+  end
+  else step st inst
+
+(* Walks [slot]'s bucket with [f]: the sub-bucket of [e]'s attribute [a]
+   when [a >= 0], else the whole state. *)
+let walk_slot st slot e a f =
+  st.cur_slot <- slot;
+  if a < 0 then Instance_store.walk slot.bucket f st
+  else Instance_store.walk_key slot.bucket (Event.attr e a) f st
 
 (* The same loop over the state-indexed store. Buckets are visited in
    ascending state order; a bucket is only walked when the event could
    affect it — some transition survived the constant pre-check, some
    negation guard could fire, or an observer wants the per-instance
    [Ignored] narration — and in a keyed state only the sub-bucket
-   [probe_key] selects, unless an observer is installed. Expired
+   [probe_attr] selects, unless an observer is installed. Expired
    instances are popped off the sorted prefix without touching the
    rest. *)
 let feed_indexed st store e =
-  let tau = Automaton.tau st.automaton in
-  let completed = ref [] in
-  (* Successors stage straight into their target state's interned bucket
-     — the per-transition handle resolved at [create]. *)
-  let stage_succ pt succ = Instance_store.stage pt.tgt_bucket succ in
-  ignore (consume st st.start_slot st.fresh e ~on_succ:stage_succ);
-  Array.iter
-    (fun slot ->
-      let bucket = bucket_of slot in
-      if Instance_store.handle_size bucket > 0 then begin
+  ignore (consume st st.start_slot st.fresh e);
+  st.cur_event <- e;
+  for i = 0 to Array.length st.slots - 1 do
+    let slot = st.slots.(i) in
+    let bucket = slot.bucket in
+    if Instance_store.handle_size bucket > 0 then begin
+      let tok =
+        match st.probes with
+        | None -> 0
+        | Some p -> Telemetry.Span.start p.expiry_span
+      in
+      let dead =
+        Instance_store.pop_expired bucket ~now:(Event.ts e) ~tau:st.tau
+      in
+      (match st.probes with
+      | None -> ()
+      | Some p -> Telemetry.Span.stop p.expiry_span tok);
+      (match dead with
+      | [] -> ()
+      | dead -> expire_all st (Some e) ~accepting:slot.accepting dead);
+      let n = n_candidates st slot e in
+      let observed =
+        match st.observer with None -> false | Some _ -> true
+      in
+      if
+        (n > 0 || guards_may_fire e slot.guards || observed)
+        && Instance_store.handle_size bucket > 0
+      then begin
+        (* An observer narrates every [Ignored]: walk the whole state. *)
+        let a = if observed then -1 else probe_attr st slot e ~n_candidates:n in
         let tok =
           match st.probes with
           | None -> 0
-          | Some p -> Telemetry.Span.start p.expiry_span
+          | Some p -> Telemetry.Span.start p.transition_span
         in
-        let dead =
-          Instance_store.pop_expired bucket ~expired:(fun inst ->
-              expired tau inst (Event.ts e))
-        in
-        (match st.probes with
+        let walked = walk_slot st slot e a step in
+        match st.probes with
         | None -> ()
-        | Some p -> Telemetry.Span.stop p.expiry_span tok);
-        List.iter
-          (fun inst ->
-            Metrics.on_expired st.m;
-            let accepting = slot.accepting && minima_satisfied st inst in
-            observe_expired st e ~accepting inst;
-            if accepting then completed := emit st inst :: !completed)
-          dead;
-        let trs = candidate_transitions st slot e in
-        if
-          (trs <> [] || guards_may_fire slot e || st.observer <> None)
-          && Instance_store.handle_size bucket > 0
-        then begin
-          (* An observer narrates every [Ignored]: walk the whole state. *)
-          let key =
-            match st.observer with
-            | None -> probe_key slot e trs
-            | Some _ -> None
-          in
-          let tok =
-            match st.probes with
-            | None -> 0
-            | Some p -> Telemetry.Span.start p.transition_span
-          in
-          let walked =
-            Instance_store.walk bucket key (fun inst ->
-                consume st slot inst e ~on_succ:stage_succ)
-          in
-          match st.probes with
-          | None -> ()
-          | Some p ->
-              Telemetry.Histogram.observe p.bucket_scan walked;
-              Telemetry.Span.stop p.transition_span tok
-        end
-      end)
-    st.slots;
+        | Some p ->
+            Telemetry.Histogram.observe p.bucket_scan walked;
+            Telemetry.Span.stop p.transition_span tok
+      end
+    end
+  done;
   Instance_store.commit store;
   let n = Instance_store.size store in
   Metrics.sample_population st.m n;
-  (match st.probes with
+  match st.probes with
   | None -> ()
-  | Some p -> Telemetry.Gauge.observe p.population_gauge n);
-  List.rev !completed
+  | Some p -> Telemetry.Gauge.observe p.population_gauge n
 
 (* One kept (filter-surviving) event entering the pool: bump the stamp
    (invalidating every slot's active-transition cache), account the fresh
@@ -821,7 +882,7 @@ let feed_indexed st store e =
 let ingest_kept st e =
   st.stamp <- st.stamp + 1;
   Metrics.on_instance_created st.m;
-  observe st (Created e);
+  (match st.observer with None -> () | Some f -> f (Created e));
   match st.pop with
   | Omega o -> feed_flat st o e
   | Store s -> feed_indexed st s e
@@ -829,61 +890,56 @@ let ingest_kept st e =
 (* The engine's clock: every instance whose window has closed by [ts]
    leaves the pool, and the accepting ones are emitted. The indexed
    store pops each bucket's expired prefix, a keyed state across its
-   sub-buckets through their heap; the flat pool filters its list.
-   [event] is the event [ts] was read off, narrated with each [Expired];
-   an [advance] has none and narrates no [Expired]. Timed under the
-   [expiry] span; an empty pool costs nothing. *)
-let sweep st ?event ts =
-  let tau = Automaton.tau st.automaton in
-  let completed = ref [] in
-  let drop ~accepting inst =
-    Metrics.on_expired st.m;
-    let accepting = accepting && minima_satisfied st inst in
-    Option.iter (fun e -> observe_expired st e ~accepting inst) event;
-    if accepting then completed := emit st inst :: !completed
-  in
-  let run () =
-    match st.pop with
-    | Omega o ->
-        let accept = Automaton.accept st.automaton in
-        o.omega <-
-          List.filter
-            (fun inst ->
-              if expired tau inst ts then begin
-                drop ~accepting:(Varset.equal inst.state accept) inst;
-                false
-              end
-              else true)
-            o.omega
-    | Store _ ->
-        Array.iter
-          (fun slot ->
-            let bucket = bucket_of slot in
-            if Instance_store.handle_size bucket > 0 then
-              List.iter (drop ~accepting:slot.accepting)
-                (Instance_store.pop_expired bucket ~expired:(fun inst ->
-                     expired tau inst ts)))
-          st.slots
-  in
+   sub-buckets through their heap; a bucket whose head has not expired
+   costs one comparison and allocates nothing. The flat pool filters its
+   list. [event] is the event [ts] was read off, narrated with each
+   [Expired]; an [advance] has none and narrates no [Expired]. Timed
+   under the [expiry] span whenever the pool is non-empty; an empty pool
+   costs nothing. *)
+let sweep st event ts =
   let empty =
     match st.pop with
     | Omega o -> o.omega = []
     | Store s -> Instance_store.size s = 0
   in
-  (if not empty then
-     match st.probes with
-     | None -> run ()
-     | Some p -> Telemetry.Span.record p.expiry_span run);
-  List.rev !completed
+  if not empty then begin
+    let tok =
+      match st.probes with
+      | None -> 0
+      | Some p -> Telemetry.Span.start p.expiry_span
+    in
+    (match st.pop with
+    | Omega o ->
+        let accept = Automaton.accept st.automaton in
+        o.omega <-
+          List.filter
+            (fun inst ->
+              if expired st.tau inst ts then begin
+                expire st event ~accepting:(Varset.equal inst.state accept)
+                  inst;
+                false
+              end
+              else true)
+            o.omega
+    | Store _ ->
+        for i = 0 to Array.length st.slots - 1 do
+          let slot = st.slots.(i) in
+          if Instance_store.handle_size slot.bucket > 0 then
+            match Instance_store.pop_expired slot.bucket ~now:ts ~tau:st.tau with
+            | [] -> ()
+            | dead -> expire_all st event ~accepting:slot.accepting dead
+        done);
+    match st.probes with
+    | None -> ()
+    | Some p -> Telemetry.Span.stop p.expiry_span tok
+  end
 
 let out_of_order = "Engine.feed: events out of chronological order"
 
 (* Reads [ts] into the clock; raises on a timestamp before the last. *)
 let tick st ts =
-  (match st.last_ts with
-  | Some t when Time.( <. ) ts t -> invalid_arg out_of_order
-  | Some _ | None -> ());
-  st.last_ts <- Some ts
+  if Time.( <. ) ts st.last_ts then invalid_arg out_of_order;
+  st.last_ts <- ts
 
 (* One event past the clock check: a kept event enters the pool, a
    dropped one only sweeps the pool to its timestamp — what the event
@@ -902,17 +958,19 @@ let ingest st e =
   if kept then ingest_kept st e
   else begin
     Metrics.on_filtered st.m;
-    sweep st ~event:e (Event.ts e)
+    sweep st (Some e) (Event.ts e)
   end
 
 let feed st e =
   tick st (Event.ts e);
   Metrics.on_event st.m;
-  ingest st e
+  ingest st e;
+  take_completed st
 
 let advance st ts =
   tick st ts;
-  sweep st ts
+  sweep st None ts;
+  take_completed st
 
 (* The batched loop over the indexed store. Semantics are those of
    feeding the events one by one, with two amortizations that are
@@ -937,15 +995,6 @@ let advance st ts =
    falls back to it while an observer is installed so narration order
    stays exact. *)
 let feed_indexed_batch st store kept n_kept ~last =
-  let tau = Automaton.tau st.automaton in
-  let completed = ref [] in
-  let emit_expired e slot inst =
-    Metrics.on_expired st.m;
-    let accepting = slot.accepting && minima_satisfied st inst in
-    observe_expired st e ~accepting inst;
-    if accepting then completed := emit st inst :: !completed
-  in
-  let stage_succ pt succ = Instance_store.stage pt.tgt_bucket succ in
   (* One transition span covers the whole kept loop — per-batch probe
      granularity, like the filter pass above and the expiry sweep
      below. *)
@@ -958,38 +1007,32 @@ let feed_indexed_batch st store kept n_kept ~last =
     let e = kept.(i) in
     st.stamp <- st.stamp + 1;
     Metrics.on_instance_created st.m;
-    ignore (consume st st.start_slot st.fresh e ~on_succ:stage_succ);
-    Array.iter
-      (fun slot ->
-        let bucket = bucket_of slot in
-        if
-          Instance_store.handle_size bucket > 0
-          && (candidate_transitions st slot e <> [] || guards_may_fire slot e)
-        then begin
-          let key = probe_key slot e (candidate_transitions st slot e) in
+    ignore (consume st st.start_slot st.fresh e);
+    st.cur_event <- e;
+    for j = 0 to Array.length st.slots - 1 do
+      let slot = st.slots.(j) in
+      let bucket = slot.bucket in
+      if Instance_store.handle_size bucket > 0 then begin
+        let n = n_candidates st slot e in
+        if n > 0 || guards_may_fire e slot.guards then begin
+          let a = probe_attr st slot e ~n_candidates:n in
           (* A probe leaves the other keys' instances unwalked: pop the
-             state's expired ones first, as the fused check below would
-             on a whole walk, so emissions and population stay those of
-             the unkeyed walk. *)
-          if Option.is_some key then
-            List.iter (emit_expired e slot)
-              (Instance_store.pop_expired bucket ~expired:(fun inst ->
-                   expired tau inst (Event.ts e)));
-          let walked =
-            Instance_store.walk bucket key (fun inst ->
-                if expired tau inst (Event.ts e) then begin
-                  (* Fused expiry: the window closed mid-batch; emit (if
-                     accepting) and drop before it can consume. *)
-                  emit_expired e slot inst;
-                  false
-                end
-                else consume st slot inst e ~on_succ:stage_succ)
-          in
+             state's expired ones first, as the fused check would on a
+             whole walk, so emissions and population stay those of the
+             unkeyed walk. *)
+          (if a >= 0 then
+             match
+               Instance_store.pop_expired bucket ~now:(Event.ts e) ~tau:st.tau
+             with
+             | [] -> ()
+             | dead -> expire_all st None ~accepting:slot.accepting dead);
+          let walked = walk_slot st slot e a step_fused in
           match st.probes with
           | None -> ()
           | Some p -> Telemetry.Histogram.observe p.bucket_scan walked
-        end)
-      st.slots;
+        end
+      end
+    done;
     Instance_store.commit store;
     Metrics.sample_population st.m (Instance_store.size store)
   done;
@@ -998,87 +1041,88 @@ let feed_indexed_batch st store kept n_kept ~last =
   | Some p -> Telemetry.Span.stop p.transition_span tok);
   (* Batch-end expiry sweep: what the one-by-one feed has expired by the
      chunk's last event, kept or not. *)
-  let swept = sweep st last in
-  (match st.probes with
+  sweep st None last;
+  match st.probes with
   | None -> ()
   | Some p ->
-      Telemetry.Gauge.observe p.population_gauge (Instance_store.size store));
-  List.rev_append !completed swept
+      Telemetry.Gauge.observe p.population_gauge (Instance_store.size store)
+
+(* The batch filter pass into the reused scratch buffer: the number of
+   events kept. One span covers the chunk. *)
+let filter_into st events =
+  let n = Array.length events in
+  if Array.length st.filter_buf < n then st.filter_buf <- Array.make n events.(0);
+  let buf = st.filter_buf in
+  let tok =
+    match st.probes with
+    | None -> 0
+    | Some p -> Telemetry.Span.start p.filter_span
+  in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let e = events.(i) in
+    if Event_filter.keep st.filter e then begin
+      buf.(!k) <- e;
+      incr k
+    end
+  done;
+  (match st.probes with
+  | None -> ()
+  | Some p -> Telemetry.Span.stop p.filter_span tok);
+  !k
 
 let feed_batch st events =
   let n = Array.length events in
   if n = 0 then []
   else begin
-    (match st.last_ts with
-    | Some t when Time.( <. ) (Event.ts events.(0)) t ->
-        invalid_arg out_of_order
-    | Some _ | None -> ());
+    if Time.( <. ) (Event.ts events.(0)) st.last_ts then
+      invalid_arg out_of_order;
     for i = 1 to n - 1 do
       if Time.( <. ) (Event.ts events.(i)) (Event.ts events.(i - 1)) then
         invalid_arg out_of_order
     done;
     let last = Event.ts events.(n - 1) in
-    st.last_ts <- Some last;
+    st.last_ts <- last;
     Metrics.on_events st.m n;
-    match st.pop with
-    | Store s when st.observer = None ->
-        (* Batch filter pass: one span covers the chunk, and a trivial
-           filter costs nothing at all. *)
-        let kept, n_kept =
+    (match (st.pop, st.observer) with
+    | Store s, None ->
+        (* A trivial filter costs nothing at all. *)
+        let n_kept =
           match st.options.filter with
-          | Event_filter.No_filter -> (events, n)
-          | Event_filter.Paper | Event_filter.Strong ->
-              if Array.length st.filter_buf < n then
-                st.filter_buf <- Array.make n events.(0);
-              let buf = st.filter_buf in
-              let k = ref 0 in
-              let run () =
-                Array.iter
-                  (fun e ->
-                    if Event_filter.keep st.filter e then begin
-                      buf.(!k) <- e;
-                      incr k
-                    end)
-                  events
-              in
-              (match st.probes with
-              | None -> run ()
-              | Some p -> Telemetry.Span.record p.filter_span run);
-              (buf, !k)
+          | Event_filter.No_filter -> n
+          | Event_filter.Paper | Event_filter.Strong -> filter_into st events
+        in
+        let kept =
+          match st.options.filter with
+          | Event_filter.No_filter -> events
+          | Event_filter.Paper | Event_filter.Strong -> st.filter_buf
         in
         Metrics.on_filtered_many st.m (n - n_kept);
-        if n_kept = 0 then sweep st last
+        if n_kept = 0 then sweep st None last
         else feed_indexed_batch st s kept n_kept ~last
-    | Store _ | Omega _ ->
+    | (Store _ | Omega _), _ ->
         (* Reference orderings (flat pool, or an installed observer):
            the per-event feed, event by event. *)
-        let acc = ref [] in
-        Array.iter (fun e -> acc := List.rev_append (ingest st e) !acc) events;
-        List.rev !acc
+        Array.iter (ingest st) events);
+    take_completed st
   end
 
 let close st =
   let accept = Automaton.accept st.automaton in
-  let flush insts =
-    List.filter_map
-      (fun inst ->
-        if Varset.equal inst.state accept && minima_satisfied st inst then
-          Some (emit st inst)
-        else None)
-      insts
+  let flush inst =
+    if Varset.equal inst.state accept && minima_satisfied st inst then
+      emit st inst
   in
-  match st.pop with
+  (match st.pop with
   | Omega o ->
-      let flushed = flush (List.rev o.omega) in
-      o.omega <- [];
-      flushed
+      List.iter flush (List.rev o.omega);
+      o.omega <- []
   | Store s ->
       (* Only the accepting bucket can flush; everything else just dies. *)
-      let flushed =
-        flush (Instance_store.take_all (Hashtbl.find st.slot_of accept).bucket)
-      in
-      Instance_store.clear s;
-      flushed
+      List.iter flush
+        (Instance_store.take_all (Hashtbl.find st.slot_of accept).bucket);
+      Instance_store.clear s);
+  take_completed st
 
 let sub_buckets st =
   match st.pop with

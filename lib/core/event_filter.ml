@@ -6,12 +6,31 @@ type mode =
   | Paper
   | Strong
 
+(* What [keep] tests, as data rather than a closure, so that testing an
+   event allocates nothing. *)
+type test =
+  | Keep_all
+  | Any_atom of (Schema.Field.t * Predicate.op * Value.t) list
+  | Any_clause of (Schema.Field.t * Predicate.op * Value.t) list list
+
 type t = {
   mode : mode;
-  predicate : (Event.t -> bool) option;  (** [None] keeps everything *)
+  test : test;
 }
 
 let satisfies e (field, op, c) = Predicate.eval op (Event.get e field) c
+
+let rec any_atom e = function
+  | [] -> false
+  | a :: rest -> satisfies e a || any_atom e rest
+
+let rec all_atoms e = function
+  | [] -> true
+  | a :: rest -> satisfies e a && all_atoms e rest
+
+let rec any_clause e = function
+  | [] -> false
+  | c :: rest -> all_atoms e c || any_clause e rest
 
 let satisfies_atom = satisfies
 
@@ -38,28 +57,26 @@ let strong_clauses ?extra p =
 let make ?extra p mode =
   let per_var = per_var_constants ?extra p in
   let all_constrained = List.for_all (fun cs -> cs <> []) per_var in
-  let predicate =
+  let test =
     match mode with
-    | No_filter -> None
+    | No_filter -> Keep_all
     | Paper ->
-        if not all_constrained then None
-        else
-          let atoms = List.concat per_var in
-          Some (fun e -> List.exists (satisfies e) atoms)
-    | Strong ->
-        if not all_constrained then None
-        else
-          Some
-            (fun e ->
-              List.exists (fun cs -> List.for_all (satisfies e) cs) per_var)
+        if not all_constrained then Keep_all
+        else Any_atom (List.concat per_var)
+    | Strong -> if not all_constrained then Keep_all else Any_clause per_var
   in
-  { mode; predicate }
+  { mode; test }
 
 let mode t = t.mode
 
-let effective t = Option.is_some t.predicate
+let effective t =
+  match t.test with Keep_all -> false | Any_atom _ | Any_clause _ -> true
 
-let keep t e = match t.predicate with None -> true | Some f -> f e
+let keep t e =
+  match t.test with
+  | Keep_all -> true
+  | Any_atom atoms -> any_atom e atoms
+  | Any_clause clauses -> any_clause e clauses
 
 let pp_mode ppf m =
   Format.pp_print_string ppf

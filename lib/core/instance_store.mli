@@ -68,17 +68,31 @@ val handle : ?key:('a -> Value.t) -> 'a t -> Varset.t -> 'a handle
 
 val handle_size : 'a handle -> int
 
-val pop_expired : 'a handle -> expired:('a -> bool) -> 'a list
-(** Removes and returns, in bucket order, the maximal prefix of the
-    bucket on which [expired] holds. [expired] must be antitone in the
-    bucket order (true on a prefix); the engine's τ check is, since
-    buckets are sorted by [first_ts]. *)
+val expired : now:Time.t -> tau:Time.duration -> Time.t -> bool
+(** The window rule: [expired ~now ~tau ts] holds when a window opened
+    at [ts] has closed by [now], i.e. more than [tau] lies between
+    them. *)
 
-val walk : 'a handle -> Value.t option -> ('a -> bool) -> int
-(** [walk h key keep] applies [keep] to the instances of [key]'s
-    sub-bucket ([None], or an unkeyed bucket: the whole bucket), in
-    bucket order, and removes those on which it returns [false]. Returns
-    the number visited. *)
+val pop_expired : 'a handle -> now:Time.t -> tau:Time.duration -> 'a list
+(** [pop_expired h ~now ~tau] removes and returns, in bucket order, the
+    instances whose window has closed by [now]: those whose [ts_of] lies
+    more than [tau] before it. They form a prefix of the bucket order.
+    The check reads the bucket's head (a keyed bucket's heap top) first,
+    so a bucket with nothing expired costs one comparison and allocates
+    nothing. *)
+
+val walk : 'a handle -> ('c -> 'a -> bool) -> 'c -> int
+(** [walk h keep ctx] applies [keep ctx] to the bucket's instances in
+    bucket order and removes those on which it returns [false]. Returns
+    the number visited. [ctx] is passed through so that a caller's
+    top-level [keep] needs no closure; a walk that removes nothing from
+    an unkeyed bucket allocates nothing. *)
+
+val walk_key : 'a handle -> Value.t -> ('c -> 'a -> bool) -> 'c -> int
+(** [walk_key h key keep ctx] is {!walk} over [key]'s sub-bucket of a
+    keyed bucket (visiting nothing when that key holds no instance), and
+    over the whole bucket of an unkeyed one. A walk that removes nothing
+    allocates nothing. *)
 
 val take_all : 'a handle -> 'a list
 (** Removes and returns the whole bucket, in bucket order. *)

@@ -25,8 +25,8 @@ type t = {
   subscribers : clause array array;  (* by anchor atom id *)
   fields : field_entry array;  (* fields carrying equality anchors *)
   scan_anchors : int array;  (* non-equality anchors, evaluated per event *)
-  always : int list;  (* unroutable queries, relevant to every event *)
-  q_stamp : int array;
+  always : bool array;  (* by query: unroutable, relevant to every event *)
+  q_stamp : int array;  (* by query: the last event stamp that woke it *)
   naive_cost : int;
       (* atoms the registered strong filters conjoin in total: what
          evaluating every clause of every query against one event costs
@@ -72,17 +72,17 @@ let create ?continue_from specs =
         incr n_atoms;
         i
   in
-  let always = ref [] in
+  let always = Array.make n_queries false in
   let clauses = ref [] in
   let naive_cost = ref 0 in
   Array.iteri
     (fun qid spec ->
       match spec with
-      | None -> always := qid :: !always
+      | None -> always.(qid) <- true
       | Some cs ->
           if List.exists (fun c -> c = []) cs then
             (* A vacuous clause accepts every event. *)
-            always := qid :: !always
+            always.(qid) <- true
           else
             List.iter
               (fun c ->
@@ -185,7 +185,7 @@ let create ?continue_from specs =
     scan_anchors =
       Array.of_list
         (List.sort Int.compare (Hashtbl.fold (fun i () acc -> i :: acc) scan []));
-    always = List.rev !always;
+    always;
     q_stamp = Array.make (max 1 n_queries) 0;
     naive_cost = !naive_cost;
     stamp = 0;
@@ -203,50 +203,53 @@ let atom_true t e i =
     v
   end
 
+(* Whether atoms [j..] of a clause hold on [e]. *)
+let rec rest_holds t e atoms j =
+  j >= Array.length atoms
+  || (atom_true t e atoms.(j) && rest_holds t e atoms (j + 1))
+
 (* Anchor [i] holds on [e]: lazily verify each subscribing clause's
    remaining atoms, waking each query at most once per event. *)
-let fire t e out i =
-  Array.iter
-    (fun c ->
-      if t.q_stamp.(c.c_query) <> t.stamp then begin
-        let n = Array.length c.c_atoms in
-        let ok = ref true in
-        let j = ref 1 in
-        while !ok && !j < n do
-          if not (atom_true t e c.c_atoms.(!j)) then ok := false;
-          incr j
-        done;
-        if !ok then begin
-          t.q_stamp.(c.c_query) <- t.stamp;
-          out := c.c_query :: !out
-        end
-      end)
-    t.subscribers.(i)
+let fire t e i =
+  let subs = t.subscribers.(i) in
+  for s = 0 to Array.length subs - 1 do
+    let c = subs.(s) in
+    if t.q_stamp.(c.c_query) <> t.stamp && rest_holds t e c.c_atoms 1 then
+      t.q_stamp.(c.c_query) <- t.stamp
+  done
 
-let relevant t e =
+(* The equality anchor of [fe]'s field that [v] satisfies, or -1. *)
+let anchor_of fe v =
+  match
+    match v with
+    | Value.Int i -> Hashtbl.find fe.f_int i
+    | Value.Str s -> Hashtbl.find fe.f_str s
+    | Value.Float f -> Hashtbl.find fe.f_float f
+  with
+  | a -> a
+  | exception Not_found -> -1
+
+let route t e =
   t.stamp <- t.stamp + 1;
   let before = t.evaluated in
-  let out = ref [] in
-  Array.iter
-    (fun fe ->
-      t.evaluated <- t.evaluated + 1;
-      let hit =
-        match Event.get e fe.f_field with
-        | Value.Int i -> Hashtbl.find_opt fe.f_int i
-        | Value.Str s -> Hashtbl.find_opt fe.f_str s
-        | Value.Float f -> Hashtbl.find_opt fe.f_float f
-      in
-      match hit with
-      | None -> ()
-      | Some a ->
-          t.a_stamp.(a) <- t.stamp;
-          t.a_truth.(a) <- true;
-          fire t e out a)
-    t.fields;
-  Array.iter (fun a -> if atom_true t e a then fire t e out a) t.scan_anchors;
+  for f = 0 to Array.length t.fields - 1 do
+    let fe = t.fields.(f) in
+    t.evaluated <- t.evaluated + 1;
+    let a = anchor_of fe (Event.get e fe.f_field) in
+    if a >= 0 then begin
+      t.a_stamp.(a) <- t.stamp;
+      t.a_truth.(a) <- true;
+      fire t e a
+    end
+  done;
+  for k = 0 to Array.length t.scan_anchors - 1 do
+    let a = t.scan_anchors.(k) in
+    if atom_true t e a then fire t e a
+  done;
   let spent = t.evaluated - before in
-  if t.naive_cost > spent then t.saved <- t.saved + (t.naive_cost - spent);
-  t.always @ List.rev !out
+  if t.naive_cost > spent then t.saved <- t.saved + (t.naive_cost - spent)
+
+let routes t q = t.always.(q) || t.q_stamp.(q) = t.stamp
 
 let n_atoms t = Array.length t.atoms
 

@@ -38,9 +38,14 @@ val create : ?continue_from:t -> atom list list option array -> t
     new one replaces: its {!evaluated} and {!saved} totals carry over,
     so both stay cumulative across rebuilds. *)
 
-val relevant : t -> Event.t -> int list
-(** Query ids the event may affect: the unroutable queries followed by
-    the woken ones, each at most once, deterministically ordered. *)
+val route : t -> Event.t -> unit
+(** Decides which queries the event may affect; {!routes} reads the
+    answer until the next [route]. Allocates nothing but the boxed value
+    of a timestamp atom's field. *)
+
+val routes : t -> int -> bool
+(** [routes t q]: the event last given to {!route} may affect query [q]
+    — it is unroutable, or one of its clauses holds. *)
 
 val n_atoms : t -> int
 (** Distinct atoms registered. *)

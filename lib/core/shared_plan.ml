@@ -45,7 +45,7 @@ type member = {
   m_mode : feed_mode;
   m_base : int;  (* events the plan was fed before this registration *)
   mutable m_fed : int;
-  mutable m_pending_routed : bool;
+  mutable m_slot : int;  (* its index slot while [Routed] *)
   mutable m_buf : Event.t array;  (* this chunk's events for [m_exec] *)
   mutable m_buf_n : int;
 }
@@ -54,10 +54,9 @@ type t = {
   sp_options : Engine.options;
   mutable sp_members : member array;  (* registration order *)
   mutable sp_index : Predicate_index.t;
-  mutable sp_slot_member : int array;  (* index slot -> member *)
   mutable sp_index_stale : bool;  (* members changed since the last build *)
   mutable sp_total_events : int;
-  mutable sp_last_ts : Time.t option;
+  mutable sp_last_ts : Time.t;  (* [min_int] before the first event *)
   mutable sp_closed : bool;
   sp_c_eval : Telemetry.Counter.t option;
   sp_c_saved : Telemetry.Counter.t option;
@@ -91,7 +90,7 @@ let register t r =
       m_mode = mode;
       m_base = t.sp_total_events;
       m_fed = 0;
-      m_pending_routed = false;
+      m_slot = -1;
       m_buf = [||];
       m_buf_n = 0;
     }
@@ -102,18 +101,18 @@ let register t r =
 (* One index slot per routed member, over the live members. *)
 let refresh_index t =
   if t.sp_index_stale then begin
-    let slots =
+    let routed =
       List.filter_map
-        (fun (i, m) ->
+        (fun m ->
           match m.m_mode with
-          | Routed clauses -> Some (Some clauses, i)
+          | Routed clauses -> Some (m, clauses)
           | Always -> None)
-        (List.mapi (fun i m -> (i, m)) (Array.to_list t.sp_members))
+        (Array.to_list t.sp_members)
     in
+    List.iteri (fun slot (m, _) -> m.m_slot <- slot) routed;
     t.sp_index <-
       Predicate_index.create ~continue_from:t.sp_index
-        (Array.of_list (List.map fst slots));
-    t.sp_slot_member <- Array.of_list (List.map snd slots);
+        (Array.of_list (List.map (fun (_, clauses) -> Some clauses) routed));
     t.sp_index_stale <- false
   end
 
@@ -126,10 +125,9 @@ let create ~options regs =
       sp_options = options;
       sp_members = [||];
       sp_index = Predicate_index.create [||];
-      sp_slot_member = [||];
       sp_index_stale = false;
       sp_total_events = 0;
-      sp_last_ts = None;
+      sp_last_ts = min_int;
       sp_closed = false;
       sp_c_eval = counter "multi.shared.predicates_evaluated";
       sp_c_saved = counter "multi.shared.predicates_saved";
@@ -160,20 +158,14 @@ let count_fed t n =
 let out_of_order = "Multi.feed: events out of chronological order"
 
 let check_ts t ts =
-  (match t.sp_last_ts with
-  | Some last when Time.( <. ) ts last -> invalid_arg out_of_order
-  | Some _ | None -> ());
-  t.sp_last_ts <- Some ts
+  if Time.( <. ) ts t.sp_last_ts then invalid_arg out_of_order;
+  t.sp_last_ts <- ts
 
-(* Routing decision for one event: flags the routed members; each flag
-   is consumed and reset as the member takes (or skips) the event. *)
-let dispatch t e =
-  List.iter
-    (fun slot -> t.sp_members.(t.sp_slot_member.(slot)).m_pending_routed <- true)
-    (Predicate_index.relevant t.sp_index e)
-
-let takes m =
-  match m.m_mode with Always -> true | Routed _ -> m.m_pending_routed
+(* Whether [m] takes the event last routed through the index. *)
+let takes t m =
+  match m.m_mode with
+  | Always -> true
+  | Routed _ -> Predicate_index.routes t.sp_index m.m_slot
 
 (* The clock of a routed member that holds instances, after a feed that
    ended at [ts]: its windows close on the last event fed, whether it
@@ -189,23 +181,22 @@ let feed t e =
   check_ts t (Event.ts e);
   refresh_index t;
   t.sp_total_events <- t.sp_total_events + 1;
-  dispatch t e;
+  Predicate_index.route t.sp_index e;
   let out = ref [] and fed = ref 0 in
-  Array.iter
-    (fun m ->
-      let completed =
-        if takes m then begin
-          m.m_fed <- m.m_fed + 1;
-          incr fed;
-          Executor.feed m.m_exec e
-        end
-        else advance m (Event.ts e)
-      in
-      (match completed with
-      | [] -> ()
-      | completed -> out := (m.m_reg.r_name, completed) :: !out);
-      m.m_pending_routed <- false)
-    t.sp_members;
+  for i = 0 to Array.length t.sp_members - 1 do
+    let m = t.sp_members.(i) in
+    let completed =
+      if takes t m then begin
+        m.m_fed <- m.m_fed + 1;
+        incr fed;
+        Executor.feed m.m_exec e
+      end
+      else advance m (Event.ts e)
+    in
+    match completed with
+    | [] -> ()
+    | completed -> out := (m.m_reg.r_name, completed) :: !out
+  done;
   count_fed t !fed;
   sync_counters t;
   List.rev !out
@@ -225,41 +216,50 @@ let flush_member m ts =
     else completed @ advance m ts
   end
 
+(* Routes one event of a chunk: appended to the buffer of every member
+   that takes it. *)
+let route_event t e =
+  Predicate_index.route t.sp_index e;
+  for i = 0 to Array.length t.sp_members - 1 do
+    let m = t.sp_members.(i) in
+    if takes t m then begin
+      m.m_buf.(m.m_buf_n) <- e;
+      m.m_buf_n <- m.m_buf_n + 1
+    end
+  done
+
 let feed_batch t events =
   if t.sp_closed then invalid_arg "Multi.feed_batch: query set is closed";
   let n = Array.length events in
   if n = 0 then []
   else begin
-    Array.iter (fun e -> check_ts t (Event.ts e)) events;
+    for i = 0 to n - 1 do
+      check_ts t (Event.ts events.(i))
+    done;
     refresh_index t;
     t.sp_total_events <- t.sp_total_events + n;
-    Array.iter
-      (fun m ->
-        if Array.length m.m_buf < n then m.m_buf <- Array.make n events.(0);
-        m.m_buf_n <- 0)
-      t.sp_members;
-    Array.iter
-      (fun e ->
-        dispatch t e;
-        Array.iter
-          (fun m ->
-            if takes m then begin
-              m.m_buf.(m.m_buf_n) <- e;
-              m.m_buf_n <- m.m_buf_n + 1
-            end;
-            m.m_pending_routed <- false)
-          t.sp_members)
-      events;
-    count_fed t
-      (Array.fold_left (fun acc m -> acc + m.m_buf_n) 0 t.sp_members);
+    let members = t.sp_members in
+    for i = 0 to Array.length members - 1 do
+      let m = members.(i) in
+      if Array.length m.m_buf < n then m.m_buf <- Array.make n events.(0);
+      m.m_buf_n <- 0
+    done;
+    for i = 0 to n - 1 do
+      route_event t events.(i)
+    done;
+    let fed = ref 0 in
+    for i = 0 to Array.length members - 1 do
+      fed := !fed + members.(i).m_buf_n
+    done;
+    count_fed t !fed;
     let last = Event.ts events.(n - 1) in
     let out = ref [] in
-    Array.iter
-      (fun m ->
-        match flush_member m last with
-        | [] -> ()
-        | completed -> out := (m.m_reg.r_name, completed) :: !out)
-      t.sp_members;
+    for i = 0 to Array.length members - 1 do
+      let m = members.(i) in
+      match flush_member m last with
+      | [] -> ()
+      | completed -> out := (m.m_reg.r_name, completed) :: !out
+    done;
     sync_counters t;
     List.rev !out
   end

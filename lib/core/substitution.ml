@@ -94,7 +94,6 @@ let satisfies_order p subst =
 let satisfies_window p subst = span subst <= Pattern.tau p
 
 let satisfies_negations p events subst =
-  let bindings = bindings_of subst in
   let start_ts = Option.value ~default:0 (min_ts subst) in
   let n = Array.length events in
   (* The array is chronologically ordered, so sequence numbers ascend
@@ -142,7 +141,7 @@ let satisfies_negations p events subst =
             || not
                  (List.for_all
                     (fun c ->
-                      Condition.holds_binding c ~var:nv ~event:e bindings)
+                      Condition.holds_on c ~var:nv ~event:e subst)
                     conds))
            && ok (i + 1))
       in

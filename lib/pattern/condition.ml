@@ -60,15 +60,42 @@ let holds c bindings =
   in
   List.for_all (fun l -> List.for_all (fun r -> eval_pair c l r) rights) lefts
 
-let holds_binding c ~var ~event bindings =
-  let bindings_for v = if v = var then [ event ] else bindings v in
-  let lefts = List.map (fun e -> Event.get e c.field) (bindings_for c.var) in
-  let rights =
-    match c.rhs with
-    | Const v -> [ v ]
-    | Var (v', f') -> List.map (fun e -> Event.get e f') (bindings_for v')
-  in
-  List.for_all (fun l -> List.for_all (fun r -> eval_pair c l r) rights) lefts
+(* The incremental check over a binding list, without building the
+   per-variable lists [holds] reads: plain recursion, no closure, and
+   nothing allocated but the boxed value of a timestamp field. [l] is a
+   left value checked against every [f'] value bound to [v']. *)
+let rec all_rights op l v' f' = function
+  | [] -> true
+  | (w, e) :: rest ->
+      (w <> v' || Predicate.eval op l (Event.get e f'))
+      && all_rights op l v' f' rest
+
+(* Every [f] value bound to [v], checked against the right value [r]. *)
+let rec all_lefts op v f r = function
+  | [] -> true
+  | (w, e) :: rest ->
+      (w <> v || Predicate.eval op (Event.get e f) r)
+      && all_lefts op v f r rest
+
+let rec all_pairs op v f v' f' rights = function
+  | [] -> true
+  | (w, e) :: rest ->
+      (w <> v || all_rights op (Event.get e f) v' f' rights)
+      && all_pairs op v f v' f' rights rest
+
+let holds_on c ~var ~event bindings =
+  match c.rhs with
+  | Const k ->
+      if c.var = var then Predicate.eval c.op (Event.get event c.field) k
+      else all_lefts c.op c.var c.field k bindings
+  | Var (v', f') ->
+      if c.var = var then
+        let l = Event.get event c.field in
+        if v' = var then Predicate.eval c.op l (Event.get event f')
+        else all_rights c.op l v' f' bindings
+      else if v' = var then
+        all_lefts c.op c.var c.field (Event.get event f') bindings
+      else all_pairs c.op c.var c.field v' f' bindings bindings
 
 let pp schema ~name_of ppf c =
   let pp_field ppf (v, f) =

@@ -9,7 +9,7 @@
     all bindings of the variable: a condition holds for a substitution iff
     it holds for {e every combination} of bindings of its two variables
     ({e conjunctive} decomposition, Sec. 3.2). [holds] implements exactly
-    that, and [holds_binding] the incremental variant used by transition
+    that, and [holds_on] the incremental variant used by transition
     evaluation. *)
 
 open Ses_event
@@ -58,12 +58,15 @@ val holds : t -> (int -> Event.t list) -> bool
     combination of bindings of the two variables must satisfy φ. Variables
     with no bindings make the condition vacuously true. *)
 
-val holds_binding : t -> var:int -> event:Event.t -> (int -> Event.t list) -> bool
-(** [holds_binding c ~var ~event bindings] evaluates the instantiations of
-    [c] in which [var]'s binding is the new [event]; occurrences of the
-    other variable (or of [var] on the opposite side, for reflexive
-    conditions) range over [bindings]. This is the transition-time check:
-    summed over the run it covers the same combinations as {!holds}. *)
+val holds_on :
+  t -> var:int -> event:Event.t -> (int * Event.t) list -> bool
+(** [holds_on c ~var ~event bindings] evaluates the instantiations of [c]
+    in which [var]'s binding is the new [event]: every occurrence of
+    [var] reads [event] (both sides, for a reflexive condition), and the
+    other variable ranges over its entries in [bindings], a
+    [(variable, event)] list in any order (an instance's match buffer).
+    This is the transition-time check: summed over the run it covers the
+    same combinations as {!holds}. It builds no list and no closure. *)
 
 val pp : Schema.t -> name_of:(int -> string) -> Format.formatter -> t -> unit
 (** Prints like the paper: [c.ID = p+.ID], [b.L = 'B']. *)

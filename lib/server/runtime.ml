@@ -38,8 +38,9 @@ type tenant = {
   t_multi : Multi.t;
   t_queue : Event.t Bounded_queue.t;
   mutable t_queries : (string * Pattern.t) list;
+  t_decoder : Ses_store.Csv_stream.line_decoder;  (* one for every row *)
   mutable t_seq : int;
-  mutable t_last_ts : Time.t option;
+  mutable t_last_ts : Time.t;  (* [min_int] before the first row *)
   mutable t_events : int;  (* accepted rows *)
   mutable t_dropped : int;  (* overflow drops *)
   mutable t_matches : int;  (* raw emissions streamed *)
@@ -129,8 +130,9 @@ let find_tenant t name =
           t_multi = Multi.create_mixed ~options:t.cfg.options [];
           t_queue = Bounded_queue.create ~capacity:t.cfg.queue_capacity;
           t_queries = [];
+          t_decoder = Ses_store.Csv_stream.line_decoder t.cfg.schema;
           t_seq = 0;
-          t_last_ts = None;
+          t_last_ts = min_int;
           t_events = 0;
           t_dropped = 0;
           t_matches = 0;
@@ -271,18 +273,18 @@ let ingest t conn ten rows announced =
   let accepted = ref 0 and last_err = ref "" in
   List.iter
     (fun row ->
-      match Ses_store.Csv_stream.row_of_line t.cfg.schema ~seq:ten.t_seq row with
+      match Ses_store.Csv_stream.decode_line ten.t_decoder ~seq:ten.t_seq row with
       | Error msg -> last_err := msg
-      | Ok e -> (
-          match ten.t_last_ts with
-          | Some last when Event.ts e < last ->
-              last_err := "row out of order (timestamps must not decrease)"
-          | _ ->
-              ten.t_seq <- ten.t_seq + 1;
-              ten.t_last_ts <- Some (Event.ts e);
-              ten.t_events <- ten.t_events + 1;
-              incr accepted;
-              Bounded_queue.push ten.t_queue e))
+      | Ok e ->
+          if Time.( <. ) (Event.ts e) ten.t_last_ts then
+            last_err := "row out of order (timestamps must not decrease)"
+          else begin
+            ten.t_seq <- ten.t_seq + 1;
+            ten.t_last_ts <- Event.ts e;
+            ten.t_events <- ten.t_events + 1;
+            incr accepted;
+            Bounded_queue.push ten.t_queue e
+          end)
     rows;
   Option.iter (fun c -> Telemetry.Counter.add c !accepted) ten.t_counter;
   (match announced with

@@ -56,6 +56,21 @@ let reader_of_channel ic = make_reader (Some ic) (Bytes.create buffer_size) 0
 
 let reader_of_string s = make_reader None (Bytes.of_string s) (String.length s)
 
+(* The buffer grows only for a longer input, so a reader that decodes
+   line after line stops allocating once it has seen its longest. *)
+let set_string r s =
+  (match r.ic with
+  | Some _ -> invalid_arg "Csv.set_string: a channel reader"
+  | None -> ());
+  let n = String.length s in
+  if Bytes.length r.buf < n then
+    r.buf <- Bytes.create (max n (2 * Bytes.length r.buf));
+  Bytes.blit_string s 0 r.buf 0 n;
+  r.pos <- 0;
+  r.len <- n;
+  r.failure <- None;
+  r.n <- 0
+
 (* Reads more input behind the current record. The record's bytes
    [pos, len) move to the front of the buffer (which doubles when the
    record already fills it), and every recorded field offset moves with

@@ -34,6 +34,12 @@ val reader_of_channel : In_channel.t -> reader
 
 val reader_of_string : string -> reader
 
+val set_string : reader -> string -> unit
+(** [set_string r s] makes [s] the whole remaining input of a reader
+    made by {!reader_of_string}, as if [r] were [reader_of_string s]:
+    the reader's buffers are reused, and grow only for a longer [s].
+    Raises [Invalid_argument] on a channel reader. *)
+
 val next_record : reader -> (bool, string) result
 (** Scans the next record: [Ok true] makes it current, [Ok false] is a
     clean end of input. [Error] (a quoting error or a read error) ends

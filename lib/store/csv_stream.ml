@@ -160,14 +160,25 @@ let stats ?cap path =
 
 (* One CSV data record outside any file scan — the entry point a live
    ingestion path (the server's [EVENT] lines) uses: the caller owns the
-   sequence counter and the chronological-order check, this function
-   owns the CSV grammar. *)
-let row_of_line schema ~seq line =
-  let reader = Csv.reader_of_string line in
-  match Csv.single_record reader with
+   sequence counter and the chronological-order check, this module owns
+   the CSV grammar. A decoder is one string reader and its typed row,
+   refilled line by line. *)
+type line_decoder = {
+  line_reader : Csv.reader;
+  line_row : Csv.row;
+}
+
+let line_decoder schema =
+  let line_reader = Csv.reader_of_string "" in
+  { line_reader; line_row = Csv.row line_reader schema }
+
+let decode_line d ~seq line =
+  Csv.set_string d.line_reader line;
+  match Csv.single_record d.line_reader with
   | Error _ as e -> e
   | Ok () -> (
-      let row = Csv.row reader schema in
-      match Csv.decode row with
+      match Csv.decode d.line_row with
       | Error _ as e -> e
-      | Ok () -> Ok (Csv.event row ~seq))
+      | Ok () -> Ok (Csv.event d.line_row ~seq))
+
+let row_of_line schema ~seq line = decode_line (line_decoder schema) ~seq line

@@ -97,10 +97,21 @@ val stats : ?cap:int -> string -> (Schema.t * Stats.t, string) result
 
 (** {1 Row-at-a-time entry point} *)
 
-val row_of_line : Schema.t -> seq:int -> string -> (Event.t, string) result
+type line_decoder
+(** One reader and typed row, reused for every line it decodes: a live
+    ingestion path (the server's rows) keeps one per schema and stops
+    allocating for the parse once it has seen its longest line. *)
+
+val line_decoder : Schema.t -> line_decoder
+
+val decode_line : line_decoder -> seq:int -> string -> (Event.t, string) result
 (** Parses one CSV data record (no header, no trailing newline) against
-    a known schema into an event with the given sequence number — the
-    entry point for live ingestion paths that receive rows one line at a
-    time rather than as a file scan. The caller owns sequence numbering
-    and the chronological-order check. Errors are the CSV layer's
-    (malformed quoting, arity mismatch, bad value or timestamp). *)
+    the decoder's schema into an event with the given sequence number —
+    the entry point for live ingestion paths that receive rows one line
+    at a time rather than as a file scan. The caller owns sequence
+    numbering and the chronological-order check. Errors are the CSV
+    layer's (malformed quoting, arity mismatch, bad value or
+    timestamp). *)
+
+val row_of_line : Schema.t -> seq:int -> string -> (Event.t, string) result
+(** {!decode_line} through a fresh decoder. *)

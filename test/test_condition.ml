@@ -89,22 +89,18 @@ let test_holds_timestamp () =
   Alcotest.(check bool) "equal fails strict" false
     (Condition.holds c (bindings_of [ (0, [ early ]); (1, [ ev 2 1 "y" 0 5 ]) ]))
 
-let test_holds_binding_incremental () =
-  (* Adding bindings one by one and checking [holds_binding] at each step
+let test_holds_on_incremental () =
+  (* Adding bindings one by one and checking [holds_on] at each step
      accepts exactly when the full [holds] accepts at the end. *)
   let c = Condition.make_var ~var:0 ~field:(attr "V") Predicate.Le ~var':1 ~field':(attr "V") in
   let xs = [ ev 0 1 "x" 2 0; ev 1 1 "x" 3 1 ] in
   let ys = [ ev 2 1 "y" 3 2; ev 3 1 "y" 9 3 ] in
   let incremental =
-    (* Bind xs to var 0, then ys to var 1, checking each new binding. *)
-    let step (ok, bound) (var, e) =
-      let lookup v = List.rev (bindings_of bound v) in
-      let ok' = ok && Condition.holds_binding c ~var ~event:e lookup in
-      let bound =
-        (var, e :: Option.value ~default:[] (List.assoc_opt var bound))
-        :: List.remove_assoc var bound
-      in
-      (ok', bound)
+    (* Bind xs to var 0, then ys to var 1, checking each new binding
+       against the buffer so far, newest first as an instance holds
+       it. *)
+    let step (ok, buffer) (var, e) =
+      (ok && Condition.holds_on c ~var ~event:e buffer, (var, e) :: buffer)
     in
     fst
       (List.fold_left step (true, [])
@@ -116,10 +112,99 @@ let test_holds_binding_incremental () =
   let ys_bad = [ ev 2 1 "y" 1 2 ] in
   let full_bad = Condition.holds c (bindings_of [ (0, xs); (1, ys_bad) ]) in
   let inc_bad =
-    Condition.holds_binding c ~var:1 ~event:(List.hd ys_bad) (fun v ->
-        bindings_of [ (0, xs) ] v)
+    Condition.holds_on c ~var:1 ~event:(List.hd ys_bad)
+      (List.map (fun e -> (0, e)) xs)
   in
   Alcotest.(check bool) "incremental = full (unsat)" full_bad inc_bad
+
+(* The list-based evaluator [holds_on] replaced, kept here as the
+   reference: the other variable's bindings as a list per variable, and
+   every (left, right) combination compared. *)
+let reference_holds c ~var ~event bindings =
+  let bindings_for v =
+    if v = var then [ event ]
+    else List.filter_map (fun (w, e) -> if w = v then Some e else None) bindings
+  in
+  let lefts =
+    List.map (fun e -> Event.get e c.Condition.field) (bindings_for c.Condition.var)
+  in
+  let rights =
+    match c.Condition.rhs with
+    | Condition.Const v -> [ v ]
+    | Condition.Var (v', f') -> List.map (fun e -> Event.get e f') (bindings_for v')
+  in
+  List.for_all
+    (fun l -> List.for_all (fun r -> Predicate.eval c.Condition.op l r) rights)
+    lefts
+
+(* Fields of every kind over a three-attribute schema: an int, a float,
+   a string, and the timestamp. Values come from small pools so that
+   equalities and ties are common. *)
+let prop_schema =
+  Schema.make_exn [ ("I", Value.Tint); ("F", Value.Tfloat); ("S", Value.Tstr) ]
+
+let gen_field =
+  QCheck.Gen.oneofl
+    [ Schema.Field.Attr 0; Schema.Field.Attr 1; Schema.Field.Attr 2; Schema.Field.Timestamp ]
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Int i) (int_range 0 3);
+        map (fun f -> Value.Float f) (oneofl [ 0.; 0.5; 1.; 2.; 3. ]);
+        map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "c" ]);
+      ])
+
+let gen_event seq =
+  QCheck.Gen.(
+    map
+      (fun (i, f, s, ts) ->
+        Event.make ~seq ~ts [| Value.Int i; Value.Float f; Value.Str s |])
+      (quad (int_range 0 3) (oneofl [ 0.; 0.5; 1.; 2.; 3. ])
+         (oneofl [ "a"; "b"; "c" ]) (int_range 0 3)))
+
+let gen_condition =
+  QCheck.Gen.(
+    let* var = int_range 0 2 and* field = gen_field and* op = oneofl Predicate.all_ops in
+    oneof
+      [
+        map (fun c -> Condition.make_const ~var ~field op c) gen_value;
+        map
+          (fun (var', field') -> Condition.make_var ~var ~field op ~var' ~field')
+          (pair (int_range 0 2) gen_field);
+      ])
+
+(* A condition, the variable a new event binds, the event, and an
+   instance buffer of up to six bindings over three variables (so group
+   variables often hold several). *)
+let gen_case =
+  QCheck.Gen.(
+    let* c = gen_condition and* var = int_range 0 2 and* event = gen_event 0 in
+    let* n = int_range 0 6 in
+    let* buffer =
+      flatten_l
+        (List.init n (fun i -> pair (int_range 0 2) (gen_event (i + 1))))
+    in
+    return (c, var, event, buffer))
+
+let print_case (c, var, event, buffer) =
+  let name_of v = "v" ^ string_of_int v in
+  Format.asprintf "%a with %s := %a over [%s]"
+    (Condition.pp prop_schema ~name_of)
+    c (name_of var) (Event.pp prop_schema) event
+    (String.concat "; "
+       (List.map
+          (fun (v, e) -> Format.asprintf "%s/%a" (name_of v) (Event.pp prop_schema) e)
+          buffer))
+
+let holds_on_equals_reference =
+  QCheck.Test.make ~count:2000 ~name:"holds_on = list-based evaluator"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (c, var, event, buffer) ->
+      Bool.equal
+        (Condition.holds_on c ~var ~event buffer)
+        (reference_holds c ~var ~event buffer))
 
 let test_pp () =
   let name_of = function 0 -> "c" | 1 -> "p+" | _ -> "?" in
@@ -138,6 +223,7 @@ let suite =
     Alcotest.test_case "holds: variable pairs" `Quick test_holds_var_pairs;
     Alcotest.test_case "holds: reflexive" `Quick test_holds_reflexive;
     Alcotest.test_case "holds: timestamps" `Quick test_holds_timestamp;
-    Alcotest.test_case "holds_binding incremental" `Quick test_holds_binding_incremental;
+    Alcotest.test_case "holds_on incremental" `Quick test_holds_on_incremental;
+    QCheck_alcotest.to_alcotest holds_on_equals_reference;
     Alcotest.test_case "pp" `Quick test_pp;
   ]

@@ -579,6 +579,66 @@ let test_idle_keys_drop () =
       Engine.feed_batch st [| events.(101) |]);
   check_feed "advance" Engine.feed_batch (fun st -> Engine.advance st 30)
 
+(* A quiet clock costs nothing: moving the clock, or feeding an event
+   that fires nothing, allocates no word beyond the result list (empty
+   here). [Gc.minor_words] boxes its own result; [words] subtracts what
+   a call of nothing measures. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let words f = minor_words_of f -. minor_words_of ignore
+
+let test_quiet_clock () =
+  (* State {a} is keyed by ID, and b's value condition reads the
+     buffer. *)
+  let p =
+    pattern ~within:10
+      [ [ v "a" ]; [ v "b" ] ]
+      ~where:
+        [
+          label "a" "a";
+          label "b" "b";
+          Pattern.Spec.fields "a" "ID" Predicate.Eq "b" "ID";
+          Pattern.Spec.fields "b" "V" Predicate.Gt "a" "V";
+        ]
+  in
+  let events =
+    Array.of_seq
+      (Relation.to_seq
+         (rel
+            [
+              (1, "a", 5, 0);
+              (2, "a", 5, 1);
+              (3, "a", 5, 2);
+              (1, "z", 0, 6);
+              (1, "b", 1, 7);
+              (4, "b", 9, 8);
+            ]))
+  in
+  let check_quiet name options =
+    let st = Engine.create ~options (Automaton.of_pattern p) in
+    ignore (Engine.feed_batch st (Array.sub events 0 3));
+    let quiet what f =
+      Alcotest.(check (float 0.)) (name ^ ": " ^ what) 0. (words f)
+    in
+    let out = ref [ [] ] in
+    quiet "advance expiring nothing" (fun () -> out := Engine.advance st 5);
+    let batch i =
+      let chunk = [| events.(i) |] in
+      fun () -> out := Engine.feed_batch st chunk
+    in
+    quiet "an event no transition takes" (batch 3);
+    quiet "a walk that fires nothing" (batch 4);
+    quiet "a key with no instance" (batch 5);
+    Alcotest.(check int) (name ^ ": nothing emitted") 0 (List.length !out);
+    Alcotest.(check int) (name ^ ": population") 3 (Engine.population st)
+  in
+  check_quiet "default" Engine.default_options;
+  check_quiet "strong filter"
+    { Engine.default_options with Engine.filter = Event_filter.Strong }
+
 let suite =
   [
     Alcotest.test_case "simple sequence" `Quick test_simple_sequence;
@@ -620,4 +680,6 @@ let suite =
       test_int_float_join_unkeyed;
     Alcotest.test_case "keys: idle keys leave no sub-bucket" `Quick
       test_idle_keys_drop;
+    Alcotest.test_case "a quiet clock allocates nothing" `Quick
+      test_quiet_clock;
   ]

@@ -56,12 +56,14 @@ let test_commit_merges_into_existing () =
 let test_pop_expired_prefix () =
   let st = make () in
   fill st [ ((0, 1), q1); ((2, 2), q1); ((4, 3), q1); ((6, 4), q1) ];
-  let dead = Instance_store.pop_expired (h st q1) ~expired:(fun (ts, _) -> ts < 4) in
+  (* At time 6 with a window of 2, the windows opened before 4 have
+     closed. *)
+  let dead = Instance_store.pop_expired (h st q1) ~now:6 ~tau:2 in
   Alcotest.(check (list (pair int int))) "expired prefix" [ (0, 1); (2, 2) ] dead;
   Alcotest.(check int) "survivors stay" 2 (Instance_store.size st);
-  let none = Instance_store.pop_expired (h st q1) ~expired:(fun _ -> false) in
+  let none = Instance_store.pop_expired (h st q1) ~now:6 ~tau:2 in
   Alcotest.(check (list (pair int int))) "nothing expired" [] none;
-  let rest = Instance_store.pop_expired (h st q1) ~expired:(fun _ -> true) in
+  let rest = Instance_store.pop_expired (h st q1) ~now:100 ~tau:0 in
   Alcotest.(check (list (pair int int)))
     "rest expires in order" [ (4, 3); (6, 4) ] rest;
   Alcotest.(check int) "empty again" 0 (Instance_store.size st)
