@@ -323,9 +323,12 @@ let run_single_match ~options ~strategy ~query ~query_file ~data explain
     | None -> "none"
     | Some p -> Format.asprintf "%a" Ses_store.Selection.pp p
   in
-  if explain then
+  if explain then begin
     Format.printf "%s"
       (Ses_core.Planner.describe ~pushed (Ses_core.Planner.plan automaton));
+    if Ses_core.Executor.runs_classes ~options strategy automaton then
+      Format.printf "evaluation: run classes@\n"
+  end;
   print_match_results pattern ~raw:outcome.Ses_harness.Stream_runner.raw
     ~matches:outcome.Ses_harness.Stream_runner.matches
     ~metrics:outcome.Ses_harness.Stream_runner.metrics show_metrics show_raw

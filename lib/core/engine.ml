@@ -77,12 +77,14 @@ type dead_check = {
    class (see [component]): the transition can fire only on an event
    whose A' equals the instance's key. -1 when there is none. [passed]
    is the stream stamp of the last event that satisfied the constant
-   atoms (see [n_candidates]). *)
+   atoms (see [n_candidates]). [tgt_class] is the target state's run
+   class, used only on a class stream. *)
 type prepared_transition = {
   transition : Automaton.transition;
   const_conds : Condition.t list;
   var_conds : Condition.t list;
   tgt_bucket : instance Instance_store.handle;
+  tgt_class : Run_class.t;
   dead_checks : dead_check list;
   pin : int;
   mutable passed : int;
@@ -132,12 +134,12 @@ type observation =
 (* Everything the engine needs about one automaton state, resolved once
    per stream: outgoing transitions (split for the constant pre-check),
    the negation guards armed exactly there, whether it accepts, and the
-   interned instance-store bucket — so the per-event loop runs over a
-   flat array with zero hashtable probes. [n_active]/[active_stamp]
-   cache how many transitions survive the constant pre-check for the
-   event with stamp [active_stamp] (each survivor's [passed] holds that
-   stamp); bumping the stream stamp invalidates every slot's cache at
-   once. *)
+   interned instance-store bucket (its run class on a class stream) — so
+   the per-event loop runs over a flat array with zero hashtable probes.
+   [n_active]/[active_stamp] cache how many transitions survive the
+   constant pre-check for the event with stamp [active_stamp] (each
+   survivor's [passed] holds that stamp); bumping the stream stamp
+   invalidates every slot's cache at once. *)
 type slot = {
   slot_state : Varset.t;
   accepting : bool;
@@ -145,13 +147,15 @@ type slot = {
   n_prepared : int;
   guards : guard list;
   bucket : instance Instance_store.handle;
+  cls : Run_class.t;
   mutable n_active : int;
   mutable active_stamp : int;
 }
 
-(* The two population representations behind the [store] option: the
-   reference flat list (the paper's Ω, scanned in full per event) and the
-   state-indexed store. [survivors] collects the next Ω during one
+(* The population representations: the reference flat list (the paper's
+   Ω, scanned in full per event), the state-indexed store, and run
+   classes (see [runs_classes]), which keep the store to switch to when
+   an observer is installed. [survivors] collects the next Ω during one
    event, newest first. *)
 type flat_pool = {
   mutable omega : instance list;
@@ -161,15 +165,18 @@ type flat_pool = {
 type population =
   | Omega of flat_pool
   | Store of instance Instance_store.t
+  | Classes of Run_class.pool * instance Instance_store.t
 
 (* Telemetry handles, resolved once per stream so an enabled probe is a
-   field read, and a disabled stream pays one branch on [probes]. *)
+   field read, and a disabled stream pays one branch on [probes].
+   [class_extensions] is registered on class streams only. *)
 type probes = {
   filter_span : Telemetry.Span.t;
   transition_span : Telemetry.Span.t;
   expiry_span : Telemetry.Span.t;
   bucket_scan : Telemetry.Histogram.t;
   population_gauge : Telemetry.Gauge.t;
+  class_extensions : Telemetry.Counter.t option;
 }
 
 type stream = {
@@ -189,7 +196,8 @@ type stream = {
   fresh : instance;
       (** the start-state instance opened for every event; it is immutable
           and never stored, so one allocation serves the whole stream *)
-  pop : population;
+  mutable pop : population;
+      (** [Classes] turns into [Store] when an observer is installed *)
   probes : probes option;
   mutable stamp : int;
       (** kept-event counter; slots check their [active_stamp] against it
@@ -291,8 +299,72 @@ let key_of u a inst =
   | Schema.Field.Attr i -> Event.attr (List.assoc u inst.bindings) i
   | Schema.Field.Timestamp -> invalid_arg "Engine: timestamp key"
 
+(* Run classes. A class stream holds each state's instances as a few
+   cohorts (see [Run_class]) when every instance of a state gets the
+   same verdict on every event. That holds when nothing but constants
+   and the timestamp order decides a verdict:
+   - every transition condition is constant, except the order
+     constraints [Automaton.concat] attaches to a transition entering a
+     later set — v.T > u.T for every u of the source state, which holds
+     exactly when the event is later than the instance's newest binding,
+     the cohort's [last_ts];
+   - every negation guard condition is constant;
+   - no quantifier counts bindings: a singleton or v+, never a
+     minimum above 1 or a group maximum;
+   - no equality partners, so no dead check is armed;
+   - the store is [Indexed] and the constant pre-check is on, so
+     [Experiments.raw_options] keeps the paper's per-instance loop.
+   An observer turns a class stream into a per-instance one (see
+   [set_observer]). *)
+let is_order_atom (tr : Automaton.transition) (c : Condition.t) =
+  c.var = tr.var && c.op = Predicate.Gt
+  &&
+  match (c.field, c.rhs) with
+  | Schema.Field.Timestamp, Condition.Var (u, Schema.Field.Timestamp) ->
+      u <> tr.var && Varset.mem u tr.src
+  | (Schema.Field.Timestamp | Schema.Field.Attr _), _ -> false
+
+let orders_on u (c : Condition.t) =
+  match c.rhs with Condition.Var (u', _) -> u' = u | Condition.Const _ -> false
+
+let uniform_transition (tr : Automaton.transition) =
+  match List.filter (fun c -> not (Condition.is_constant c)) tr.conds with
+  | [] -> true
+  | var_conds ->
+      List.for_all (is_order_atom tr) var_conds
+      && List.for_all
+           (fun u -> List.exists (orders_on u) var_conds)
+           (Varset.to_list tr.src)
+
+let runs_classes ?(options = default_options) automaton =
+  let p = Automaton.pattern automaton in
+  (match options.store with Indexed -> true | Flat -> false)
+  && options.precheck_constants
+  && Pattern.equality_partners p = []
+  && List.for_all
+       (fun v ->
+         Pattern.min_count p v <= 1
+         && ((not (Pattern.is_group p v))
+            || Option.is_none (Pattern.max_count p v)))
+       (List.init (Pattern.n_vars p) Fun.id)
+  && List.for_all
+       (fun (_, nv) -> List.for_all Condition.is_constant (Pattern.conditions_on p nv))
+       (Pattern.negations p)
+  && List.for_all uniform_transition (Automaton.transitions automaton)
+
 let create ?(options = default_options) automaton =
   let p = Automaton.pattern automaton in
+  let classes = runs_classes ~options automaton in
+  let pool = Run_class.create_pool () in
+  let class_table = Hashtbl.create 16 in
+  let class_of q =
+    match Hashtbl.find_opt class_table q with
+    | Some c -> c
+    | None ->
+        let c = Run_class.create pool in
+        Hashtbl.replace class_table q c;
+        c
+  in
   let store =
     Instance_store.create
       ~ts_of:(fun inst -> inst.first_ts)
@@ -403,6 +475,7 @@ let create ?(options = default_options) automaton =
               const_conds;
               var_conds;
               tgt_bucket = Instance_store.handle store tr.tgt;
+              tgt_class = class_of tr.tgt;
               dead_checks = dead_checks tr;
               pin = pin tr.var tr.conds;
               passed = 0;
@@ -411,6 +484,7 @@ let create ?(options = default_options) automaton =
       n_prepared = List.length trs;
       guards;
       bucket;
+      cls = class_of q;
       n_active = 0;
       active_stamp = 0;
     }
@@ -446,9 +520,11 @@ let create ?(options = default_options) automaton =
         first_ts = 0;
       };
     pop =
-      (match options.store with
-      | Flat -> Omega { omega = []; survivors = [] }
-      | Indexed -> Store store);
+      (if classes then Classes (pool, store)
+       else
+         match options.store with
+         | Flat -> Omega { omega = []; survivors = [] }
+         | Indexed -> Store store);
     probes =
       Option.map
         (fun tl ->
@@ -458,6 +534,10 @@ let create ?(options = default_options) automaton =
             expiry_span = Telemetry.span tl "expiry";
             bucket_scan = Telemetry.histogram tl "store.bucket_scan";
             population_gauge = Telemetry.gauge tl "population";
+            class_extensions =
+              (if classes then
+                 Some (Telemetry.counter tl "engine.class_extensions")
+               else None);
           })
         options.telemetry;
     stamp = 0;
@@ -471,8 +551,6 @@ let create ?(options = default_options) automaton =
     filter_buf = [||];
     m = Metrics.create ();
   }
-
-let set_observer st observer = st.observer <- observer
 
 let substitution_of inst = List.rev inst.bindings
 
@@ -614,7 +692,7 @@ let rec doomed e bindings = function
    state's interned bucket, or onto the flat pool's next Ω. *)
 let stage st pt succ =
   match st.pop with
-  | Store _ -> Instance_store.stage pt.tgt_bucket succ
+  | Store _ | Classes _ -> Instance_store.stage pt.tgt_bucket succ
   | Omega o -> o.survivors <- succ :: o.survivors
 
 (* [pt] fires on [inst] and event [e]: stage the successor, or drop it
@@ -727,12 +805,13 @@ let consume st slot inst e =
 let minima_satisfied st inst =
   List.for_all (fun (v, m) -> inst.counts.(v) >= m) st.strict_minima
 
-let emit st inst =
-  let subst = substitution_of inst in
+let emit_subst st subst =
   st.emissions <- subst :: st.emissions;
   st.completed <- subst :: st.completed;
   Metrics.on_match st.m;
   match st.observer with None -> () | Some f -> f (Emitted subst)
+
+let emit st inst = emit_subst st (substitution_of inst)
 
 (* The emissions of the call in progress, oldest first. *)
 let take_completed st =
@@ -759,10 +838,161 @@ let rec expire_all st event ~accepting = function
       expire st event ~accepting inst;
       expire_all st event ~accepting rest
 
+(* ---- Run classes: one step per cohort (see [runs_classes]) ---- *)
+
+(* Whether cohort [c] meets [pt]'s order constraint on [e]. On a class
+   stream [pt.var_conds] is empty or the order atoms v.T > u.T for every
+   u of the source state, which hold for every member exactly when [e]
+   is later than the members' newest binding. *)
+let orders e pt (c : Run_class.cohort) =
+  match pt.var_conds with
+  | [] -> true
+  | _ :: _ -> Time.( <. ) c.last_ts (Event.ts e)
+
+(* [pt] fires on every member of [c]: one [Extend] cohort staged into
+   the target class, counted as [c.count] transitions and successors. *)
+let extend st e pt (c : Run_class.cohort) =
+  Metrics.on_transitions_many st.m c.count;
+  Metrics.on_instances_created_many st.m c.count;
+  (match st.probes with
+  | Some { class_extensions = Some k; _ } -> Telemetry.Counter.incr k
+  | Some { class_extensions = None; _ } | None -> ());
+  Run_class.stage pt.tgt_class
+    {
+      first_ts = c.first_ts;
+      last_ts = Event.ts e;
+      count = c.count;
+      node = Extend ((pt.transition.var, e), c.node);
+    }
+
+(* [fire_all] for a cohort: whether any transition fired. *)
+let rec fire_cohort st e c fired = function
+  | [] -> fired
+  | pt :: rest ->
+      let fires = is_candidate st pt && orders e pt c in
+      if fires then extend st e pt c;
+      fire_cohort st e c (fired || fires) rest
+
+(* [consume] for all members of a cohort at once, on the stream's
+   current slot and event: whether the cohort stays. Guard conditions
+   are constant on a class stream, so they read no binding. *)
+let step_cohort st (c : Run_class.cohort) =
+  let slot = st.cur_slot and e = st.cur_event in
+  if fire_cohort st e c false slot.prepared then false
+  else if killed e [] slot.guards then begin
+    Metrics.on_killed_many st.m c.count;
+    false
+  end
+  else true
+
+(* An expired cohort leaves the pool; an accepting one emits each
+   member, built as [substitution_of] builds an instance's. *)
+let expire_cohort st ~accepting (c : Run_class.cohort) =
+  Metrics.on_expired_many st.m c.count;
+  if accepting then Run_class.iter_members (emit_subst st) c.node
+
+let rec expire_cohorts st ~accepting = function
+  | [] -> ()
+  | c :: rest ->
+      expire_cohort st ~accepting c;
+      expire_cohorts st ~accepting rest
+
+(* [step_cohort] behind the batched walk's fused expiry check (see
+   [step_fused]). *)
+let step_cohort_fused st (c : Run_class.cohort) =
+  if Instance_store.expired ~now:(Event.ts st.cur_event) ~tau:st.tau c.first_ts
+  then begin
+    expire_cohort st ~accepting:st.cur_slot.accepting c;
+    false
+  end
+  else step_cohort st c
+
+(* The members of a cohort as instances of [slot]'s state, numbered in
+   bucket order. *)
+let instances_of st slot (c : Run_class.cohort) =
+  let out = ref [] in
+  Run_class.iter_members
+    (fun subst ->
+      let counts = Array.make (Array.length st.max_counts) 0 in
+      List.iter (fun (v, _) -> counts.(v) <- counts.(v) + 1) subst;
+      let id = st.next_id in
+      st.next_id <- id + 1;
+      out :=
+        {
+          id;
+          state = slot.slot_state;
+          bindings = List.rev subst;
+          counts;
+          first_ts = c.first_ts;
+        }
+        :: !out)
+    c.node;
+  List.rev !out
+
+(* Installing an observer turns a class stream into a per-instance one
+   for good: the per-instance path narrates every instance, and each
+   cohort's members become instances of its state, so narration from
+   then on is that of a stream that was never a class stream. *)
+let set_observer st observer =
+  (match (observer, st.pop) with
+  | Some _, Classes (_, store) ->
+      Array.iter
+        (fun slot ->
+          match Run_class.take_all slot.cls with
+          | [] -> ()
+          | cohorts ->
+              Instance_store.put_back slot.bucket
+                (List.concat_map (instances_of st slot) cohorts))
+        st.slots;
+      st.pop <- Store store
+  | (Some _ | None), (Omega _ | Store _ | Classes _) -> ());
+  st.observer <- observer
+
+(* ---- The pool, whatever its representation ---- *)
+
 let population st =
   match st.pop with
   | Omega o -> List.length o.omega
   | Store s -> Instance_store.size s
+  | Classes (pool, _) -> Run_class.total pool
+
+(* The members of [slot]'s state in the indexed store or its class. *)
+let members st slot =
+  match st.pop with
+  | Classes _ -> Run_class.size slot.cls
+  | Store _ | Omega _ -> Instance_store.handle_size slot.bucket
+
+(* Pops the members of [slot]'s state whose window has closed by [now],
+   emitting the accepting ones; [event] is narrated with each
+   [Expired]. *)
+let pop_slot st slot event now =
+  match st.pop with
+  | Classes _ -> (
+      match Run_class.pop_expired slot.cls ~now ~tau:st.tau with
+      | [] -> ()
+      | dead -> expire_cohorts st ~accepting:slot.accepting dead)
+  | Store _ | Omega _ -> (
+      match Instance_store.pop_expired slot.bucket ~now ~tau:st.tau with
+      | [] -> ()
+      | dead -> expire_all st event ~accepting:slot.accepting dead)
+
+let commit st =
+  match st.pop with
+  | Classes (pool, _) -> Run_class.commit pool
+  | Store s -> Instance_store.commit s
+  | Omega _ -> ()
+
+(* The fresh start-state instance consuming [e]; on a class stream, a
+   cohort of one. *)
+let consume_fresh st e =
+  match st.pop with
+  | Classes _ ->
+      ignore (n_candidates st st.start_slot e);
+      ignore
+        (fire_cohort st e
+           { first_ts = Event.ts e; last_ts = min_int; count = 1; node = Root }
+           false st.start_slot.prepared)
+  | Store _ | Omega _ -> ignore (consume st st.start_slot st.fresh e)
 
 (* Algorithm 1's loop body over the flat list: the reference path, kept
    verbatim for differential testing and for benchmarking the store
@@ -809,58 +1039,68 @@ let step_fused st inst =
   end
   else step st inst
 
-(* Walks [slot]'s bucket with [f]: the sub-bucket of [e]'s attribute [a]
-   when [a >= 0], else the whole state. *)
-let walk_slot st slot e a f =
+(* Walks [slot]'s members on event [e] ([n] candidate transitions): a
+   class stream's cohorts, or the store's instances — the sub-bucket
+   [probe_attr] selects unless [whole], else the whole state. [fused]
+   is the batched walk, which expires what it meets (see
+   [feed_indexed_batch]); a probe leaves the other keys' instances
+   unwalked, so it pops the state's expired ones first, as the fused
+   check would on a whole walk. Returns the cohorts or instances
+   walked. *)
+let walk st slot e ~n ~whole ~fused =
   st.cur_slot <- slot;
-  if a < 0 then Instance_store.walk slot.bucket f st
-  else Instance_store.walk_key slot.bucket (Event.attr e a) f st
+  match st.pop with
+  | Classes _ ->
+      Run_class.walk slot.cls
+        (if fused then step_cohort_fused else step_cohort)
+        st
+  | Store _ | Omega _ ->
+      let f = if fused then step_fused else step in
+      let a = if whole then -1 else probe_attr st slot e ~n_candidates:n in
+      if a < 0 then Instance_store.walk slot.bucket f st
+      else begin
+        if fused then pop_slot st slot None (Event.ts e);
+        Instance_store.walk_key slot.bucket (Event.attr e a) f st
+      end
 
-(* The same loop over the state-indexed store. Buckets are visited in
-   ascending state order; a bucket is only walked when the event could
-   affect it — some transition survived the constant pre-check, some
-   negation guard could fire, or an observer wants the per-instance
-   [Ignored] narration — and in a keyed state only the sub-bucket
-   [probe_attr] selects, unless an observer is installed. Expired
-   instances are popped off the sorted prefix without touching the
-   rest. *)
-let feed_indexed st store e =
-  ignore (consume st st.start_slot st.fresh e);
+(* The same loop over the state-indexed store or the run classes.
+   States are visited in ascending order; a state is only walked when
+   the event could affect it — some transition survived the constant
+   pre-check, some negation guard could fire, or an observer wants the
+   per-instance [Ignored] narration — and in a keyed state only the
+   sub-bucket [probe_attr] selects, unless an observer is installed.
+   Expired members are popped off the sorted prefix without touching
+   the rest. *)
+let feed_indexed st e =
+  consume_fresh st e;
   st.cur_event <- e;
   for i = 0 to Array.length st.slots - 1 do
     let slot = st.slots.(i) in
-    let bucket = slot.bucket in
-    if Instance_store.handle_size bucket > 0 then begin
+    if members st slot > 0 then begin
       let tok =
         match st.probes with
         | None -> 0
         | Some p -> Telemetry.Span.start p.expiry_span
       in
-      let dead =
-        Instance_store.pop_expired bucket ~now:(Event.ts e) ~tau:st.tau
-      in
+      pop_slot st slot (Some e) (Event.ts e);
       (match st.probes with
       | None -> ()
       | Some p -> Telemetry.Span.stop p.expiry_span tok);
-      (match dead with
-      | [] -> ()
-      | dead -> expire_all st (Some e) ~accepting:slot.accepting dead);
       let n = n_candidates st slot e in
       let observed =
         match st.observer with None -> false | Some _ -> true
       in
       if
         (n > 0 || guards_may_fire e slot.guards || observed)
-        && Instance_store.handle_size bucket > 0
+        && members st slot > 0
       then begin
-        (* An observer narrates every [Ignored]: walk the whole state. *)
-        let a = if observed then -1 else probe_attr st slot e ~n_candidates:n in
         let tok =
           match st.probes with
           | None -> 0
           | Some p -> Telemetry.Span.start p.transition_span
         in
-        let walked = walk_slot st slot e a step in
+        (* An observer narrates every [Ignored]: walk the whole state. *)
+        let walked = walk st slot e ~n ~whole:observed ~fused:false in
         match st.probes with
         | None -> ()
         | Some p ->
@@ -869,8 +1109,8 @@ let feed_indexed st store e =
       end
     end
   done;
-  Instance_store.commit store;
-  let n = Instance_store.size store in
+  commit st;
+  let n = population st in
   Metrics.sample_population st.m n;
   match st.probes with
   | None -> ()
@@ -885,7 +1125,7 @@ let ingest_kept st e =
   (match st.observer with None -> () | Some f -> f (Created e));
   match st.pop with
   | Omega o -> feed_flat st o e
-  | Store s -> feed_indexed st s e
+  | Store _ | Classes _ -> feed_indexed st e
 
 (* The engine's clock: every instance whose window has closed by [ts]
    leaves the pool, and the accepting ones are emitted. The indexed
@@ -900,7 +1140,7 @@ let sweep st event ts =
   let empty =
     match st.pop with
     | Omega o -> o.omega = []
-    | Store s -> Instance_store.size s = 0
+    | Store _ | Classes _ -> population st = 0
   in
   if not empty then begin
     let tok =
@@ -921,13 +1161,10 @@ let sweep st event ts =
               end
               else true)
             o.omega
-    | Store _ ->
+    | Store _ | Classes _ ->
         for i = 0 to Array.length st.slots - 1 do
           let slot = st.slots.(i) in
-          if Instance_store.handle_size slot.bucket > 0 then
-            match Instance_store.pop_expired slot.bucket ~now:ts ~tau:st.tau with
-            | [] -> ()
-            | dead -> expire_all st event ~accepting:slot.accepting dead
+          if members st slot > 0 then pop_slot st slot event ts
         done);
     match st.probes with
     | None -> ()
@@ -972,9 +1209,10 @@ let advance st ts =
   sweep st None ts;
   take_completed st
 
-(* The batched loop over the indexed store. Semantics are those of
-   feeding the events one by one, with two amortizations that are
-   invisible to the (multiset of) emissions and finalized matches:
+(* The batched loop over the indexed store or the run classes.
+   Semantics are those of feeding the events one by one, with two
+   amortizations that are invisible to the (multiset of) emissions and
+   finalized matches:
 
    - τ-expiry prefixes are popped once per batch, at its end, by a
      sweep to the chunk's last timestamp (its last event, kept or not),
@@ -985,7 +1223,9 @@ let advance st ts =
      the batch whose event closed its window, as the one-by-one feed
      does: each chunk returns the same multiset of emissions and counts
      the same expiries. Only the *position* of an expiry emission within
-     the chunk's raw list can differ.
+     the chunk's raw list can differ. A class stream expires the cohorts
+     it walks in the same places, so its sampled population matches the
+     per-instance path's.
 
    - telemetry records per batch: one expiry span for the sweep, one
      transition span covering the whole kept loop (every event's bucket
@@ -994,7 +1234,7 @@ let advance st ts =
    The per-event [feed] above remains the reference ordering; [feed_batch]
    falls back to it while an observer is installed so narration order
    stays exact. *)
-let feed_indexed_batch st store kept n_kept ~last =
+let feed_indexed_batch st kept n_kept ~last =
   (* One transition span covers the whole kept loop — per-batch probe
      granularity, like the filter pass above and the expiry sweep
      below. *)
@@ -1007,34 +1247,22 @@ let feed_indexed_batch st store kept n_kept ~last =
     let e = kept.(i) in
     st.stamp <- st.stamp + 1;
     Metrics.on_instance_created st.m;
-    ignore (consume st st.start_slot st.fresh e);
+    consume_fresh st e;
     st.cur_event <- e;
     for j = 0 to Array.length st.slots - 1 do
       let slot = st.slots.(j) in
-      let bucket = slot.bucket in
-      if Instance_store.handle_size bucket > 0 then begin
+      if members st slot > 0 then begin
         let n = n_candidates st slot e in
         if n > 0 || guards_may_fire e slot.guards then begin
-          let a = probe_attr st slot e ~n_candidates:n in
-          (* A probe leaves the other keys' instances unwalked: pop the
-             state's expired ones first, as the fused check would on a
-             whole walk, so emissions and population stay those of the
-             unkeyed walk. *)
-          (if a >= 0 then
-             match
-               Instance_store.pop_expired bucket ~now:(Event.ts e) ~tau:st.tau
-             with
-             | [] -> ()
-             | dead -> expire_all st None ~accepting:slot.accepting dead);
-          let walked = walk_slot st slot e a step_fused in
+          let walked = walk st slot e ~n ~whole:false ~fused:true in
           match st.probes with
           | None -> ()
           | Some p -> Telemetry.Histogram.observe p.bucket_scan walked
         end
       end
     done;
-    Instance_store.commit store;
-    Metrics.sample_population st.m (Instance_store.size store)
+    commit st;
+    Metrics.sample_population st.m (population st)
   done;
   (match st.probes with
   | None -> ()
@@ -1044,8 +1272,7 @@ let feed_indexed_batch st store kept n_kept ~last =
   sweep st None last;
   match st.probes with
   | None -> ()
-  | Some p ->
-      Telemetry.Gauge.observe p.population_gauge (Instance_store.size store)
+  | Some p -> Telemetry.Gauge.observe p.population_gauge (population st)
 
 (* The batch filter pass into the reused scratch buffer: the number of
    events kept. One span covers the chunk. *)
@@ -1085,7 +1312,7 @@ let feed_batch st events =
     st.last_ts <- last;
     Metrics.on_events st.m n;
     (match (st.pop, st.observer) with
-    | Store s, None ->
+    | (Store _ | Classes _), None ->
         (* A trivial filter costs nothing at all. *)
         let n_kept =
           match st.options.filter with
@@ -1099,8 +1326,8 @@ let feed_batch st events =
         in
         Metrics.on_filtered_many st.m (n - n_kept);
         if n_kept = 0 then sweep st None last
-        else feed_indexed_batch st s kept n_kept ~last
-    | (Store _ | Omega _), _ ->
+        else feed_indexed_batch st kept n_kept ~last
+    | (Store _ | Omega _ | Classes _), _ ->
         (* Reference orderings (flat pool, or an installed observer):
            the per-event feed, event by event. *)
         Array.iter (ingest st) events);
@@ -1121,12 +1348,22 @@ let close st =
       (* Only the accepting bucket can flush; everything else just dies. *)
       List.iter flush
         (Instance_store.take_all (Hashtbl.find st.slot_of accept).bucket);
-      Instance_store.clear s);
+      Instance_store.clear s
+  | Classes _ ->
+      Array.iter
+        (fun slot ->
+          let cohorts = Run_class.take_all slot.cls in
+          if slot.accepting then
+            List.iter
+              (fun (c : Run_class.cohort) ->
+                Run_class.iter_members (emit_subst st) c.node)
+              cohorts)
+        st.slots);
   take_completed st
 
 let sub_buckets st =
   match st.pop with
-  | Omega _ -> 0
+  | Omega _ | Classes _ -> 0
   | Store s -> Instance_store.sub_buckets s
 
 let population_by_state st =
@@ -1146,6 +1383,13 @@ let population_by_state st =
         Instance_store.fold_buckets
           (fun q insts acc -> (q, List.length insts) :: acc)
           s []
+    | Classes _ ->
+        Array.fold_left
+          (fun acc slot ->
+            match Run_class.size slot.cls with
+            | 0 -> acc
+            | n -> (slot.slot_state, n) :: acc)
+          [] st.slots
   in
   (* Descending by count; equal counts ordered by state so the listing is
      deterministic. *)

@@ -100,9 +100,12 @@ type options = {
           on the hot path costs one branch). The engine plants [filter],
           [transition], [expiry] and [finalize] spans, a
           [store.bucket_scan] histogram (per state walked, the instances
-          walked: a key's sub-bucket on a probe) and a [population]
-          gauge; the executors layered above add their own probes to the
-          same recorder. *)
+          walked: a key's sub-bucket on a probe; the cohorts walked on a
+          run-class stream) and a [population] gauge. A run-class stream
+          ({!runs_classes}) also counts [engine.class_extensions], the
+          cohorts its firing transitions stage; no other stream
+          registers it. The executors layered above add their own probes
+          to the same recorder. *)
 }
 
 val default_options : options
@@ -244,4 +247,28 @@ val emitted : stream -> Substitution.t list
 val set_observer : stream -> (observation -> unit) option -> unit
 (** Installs (or removes) a callback invoked synchronously on every
     execution event of this stream. See {!Trace} for a convenient
-    recorder. *)
+    recorder. Installing one on a run-class stream ({!runs_classes})
+    turns it into a per-instance stream for the rest of its life: the
+    members its cohorts hold become instances of their states, numbered
+    in bucket order, so everything narrated from then on is what a
+    stream that never ran classes would narrate. *)
+
+val runs_classes : ?options:options -> Automaton.t -> bool
+(** Whether {!create} with these options gives a run-class stream. Such
+    a stream holds each state's instances as a few cohorts over a
+    shared binding DAG ({!Run_class}), and an event costs one step per
+    cohort instead of one per instance. It does when every instance of
+    a state must take the same step on every event:
+    - every transition condition is constant, except the order
+      constraints {!Automaton.concat} attaches to a transition entering
+      a later set: [v.T > u.T] for every [u] of the source state;
+    - every negation guard condition is constant;
+    - no variable has a quantifier maximum, or a minimum above 1, and
+      no two variables are equated;
+    - the store is [Indexed] and [precheck_constants] is on, so
+      [Experiments.raw_options] keeps the paper's per-instance loop.
+
+    Outputs and metrics are those of the per-instance path: the same
+    multiset of raw emissions per chunk (their order within a chunk may
+    differ), and every counter, [max_simultaneous_instances] included,
+    reads the same. *)

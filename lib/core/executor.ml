@@ -193,6 +193,16 @@ let create ?options strategy automaton =
   let (module E) = of_strategy strategy in
   Packed ((module E), E.create ?options automaton)
 
+let runs_classes ?(options = Engine.default_options) strategy automaton =
+  match strategy with
+  | `Plain -> Engine.runs_classes ~options automaton
+  | `Auto ->
+      let plan = Planner.plan automaton in
+      Engine.runs_classes
+        ~options:(Planner.options_with plan options)
+        (Planner.effective_automaton plan automaton)
+  | `Naive | `Brute_force -> false
+
 let name (Packed ((module E), _)) = E.name
 
 let feed (Packed ((module E), t)) e = E.feed t e

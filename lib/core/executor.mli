@@ -109,6 +109,13 @@ type packed
 
 val create : ?options:Engine.options -> strategy -> Automaton.t -> packed
 
+val runs_classes : ?options:Engine.options -> strategy -> Automaton.t -> bool
+(** Whether [create ~options strategy automaton] evaluates on a run-class
+    stream ({!Engine.runs_classes}), deciding on the options and
+    automaton the strategy hands the engine: the plan's for [`Auto].
+    [`Naive] and [`Brute_force] answer [false]: they are the oracles,
+    not one engine stream. *)
+
 val name : packed -> string
 
 val feed : packed -> Event.t -> Substitution.t list

@@ -53,6 +53,16 @@ let on_killed (m : t) = m.instances_killed <- m.instances_killed + 1
 
 let on_pruned (m : t) = m.instances_pruned <- m.instances_pruned + 1
 
+let on_instances_created_many (m : t) n =
+  m.instances_created <- m.instances_created + n
+
+let on_transitions_many (m : t) n =
+  m.transitions_fired <- m.transitions_fired + n
+
+let on_expired_many (m : t) n = m.instances_expired <- m.instances_expired + n
+
+let on_killed_many (m : t) n = m.instances_killed <- m.instances_killed + n
+
 let on_match (m : t) = m.matches_emitted <- m.matches_emitted + 1
 
 let sample_population (m : t) n =

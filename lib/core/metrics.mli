@@ -44,6 +44,19 @@ val on_killed : t -> unit
 
 val on_pruned : t -> unit
 
+(** {2 Bulk adders}
+
+    [n] at a time: a run-class stream (see {!Engine}) moves a whole
+    cohort of instances with one step, and counts it with one store. *)
+
+val on_instances_created_many : t -> int -> unit
+
+val on_transitions_many : t -> int -> unit
+
+val on_expired_many : t -> int -> unit
+
+val on_killed_many : t -> int -> unit
+
 val on_match : t -> unit
 
 val sample_population : t -> int -> unit

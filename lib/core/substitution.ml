@@ -203,210 +203,454 @@ type policy =
   | Operational
   | Literal
 
-(* Finalization annotates each raw candidate once: its canonical form
-   packed into a sorted, duplicate-free int array of keys
-   [var * base + seq], where [base] is one more than the largest sequence
-   number among the candidates (sequence numbers start at 0). Key order is
-   exactly [compare_canonical]'s (var, seq) order, so every set operation
-   below is a merge or a binary search over ints. *)
-type packed = {
-  subst : t;
+(* Finalization reads one flat layout. Every binding of every raw
+   candidate becomes a key [var * base + seq] in one int array, where
+   [base] is one more than the largest sequence number among the
+   candidates (sequence numbers start at 0). Candidate [i] owns the
+   slice of [len.(i)] keys from [off.(i)], sorted and duplicate-free, so
+   key order is exactly [compare_canonical]'s (var, seq) order and every
+   set operation below is a merge or a binary search over ints. The
+   helpers are top-level recursions over explicit indices: without
+   flambda a local recursive function allocates its closure on every
+   call. *)
+type layout = {
+  substs : t array;
+  base : int;
+  space : int;  (** every key is below it *)
   keys : int array;
-  min_t : Time.t option;
-  min_key : int;  (** packed minT binding; -1 for the empty substitution *)
+  off : int array;
+  len : int array;
+  min_key : int array;  (** the minT binding's key; -1 for [[]] *)
+  min_t : Time.t array;  (** its timestamp; unused for [[]] *)
 }
 
-let pack ~base subst =
-  let keys =
-    Array.of_list
-      (List.sort_uniq Int.compare
-         (List.map (fun (v, e) -> (v * base) + Event.seq e) subst))
-  in
-  match min_binding subst with
-  | None -> { subst; keys; min_t = None; min_key = -1 }
-  | Some (v, e) ->
-      {
-        subst;
-        keys;
-        min_t = Some (Event.ts e);
-        min_key = (v * base) + Event.seq e;
-      }
+(* The int arrays of one finalization are reused by the next on the same
+   domain, one slot per array. An array of more than 256 words is
+   allocated straight in the major heap, so fresh arrays per call would
+   each leave their size in garbage: a server that finalizes many small
+   queries in quick succession (132 of at most 311 candidates each on
+   the serve_mixed benchmark workload) raised its peak RSS by a tenth
+   that way. A slot keeps at most [retained] words, so a
+   rare large call does not pin its memory. A reused array may be longer
+   than asked, so the code below reads explicit lengths, never
+   [Array.length]. *)
+let retained = 1 lsl 14
+
+let s_off = 0
+and s_min_var = 1
+and s_min_seq = 2
+and s_min_t = 3
+and s_keys = 4
+and s_len = 5
+and s_min_key = 6
+and s_table = 7
+and s_cands = 8
+and s_order = 9
+and s_ids = 10
+and s_dense = 11
+and s_dense_ids = 12
+and s_start = 13
+and s_post = 14
+and s_next = 15
+and s_group = 16
+
+(* [s_group] is the last slot. *)
+let scratch = Domain.DLS.new_key (fun () -> Array.make (s_group + 1) [||])
+
+(* An array of at least [n] ints whose first [n] are [fill]. *)
+let grab s n fill =
+  let slots = Domain.DLS.get scratch in
+  let a = slots.(s) in
+  if Array.length a >= n then begin
+    Array.fill a 0 n fill;
+    a
+  end
+  else if n > retained then Array.make n fill
+  else begin
+    let a = Array.make (Int.min retained (Int.max n (2 * Array.length a))) fill in
+    slots.(s) <- a;
+    a
+  end
+
+(* Notes candidate [i]'s first chronologically earliest binding as its
+   minT binding ([min_seq.(i)] is -1 before the first), as
+   [min_binding] does; returns the largest sequence number seen. *)
+let rec scan_bindings min_var min_seq min_t i top = function
+  | [] -> top
+  | (v, e) :: rest ->
+      let ts = Event.ts e and seq = Event.seq e in
+      let best = min_seq.(i) in
+      if best < 0 || ts < min_t.(i) || (ts = min_t.(i) && seq < best) then begin
+        min_var.(i) <- v;
+        min_seq.(i) <- seq;
+        min_t.(i) <- ts
+      end;
+      scan_bindings min_var min_seq min_t i (Int.max top seq) rest
+
+(* Writes the bindings' keys from [keys.(j)] on; returns the largest key
+   written, or [top] if larger. *)
+let rec write_keys (keys : int array) base j top = function
+  | [] -> top
+  | (v, e) :: rest ->
+      let k = (v * base) + Event.seq e in
+      keys.(j) <- k;
+      write_keys keys base (j + 1) (Int.max top k) rest
+
+(* Sorts [keys.(lo) .. keys.(lo + n - 1)] in place and drops repeats;
+   returns how many keys remain. Slices are short, so insertion sort. *)
+let sort_slice (keys : int array) lo n =
+  for i = lo + 1 to lo + n - 1 do
+    let k = keys.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && keys.(!j) > k do
+      keys.(!j + 1) <- keys.(!j);
+      decr j
+    done;
+    keys.(!j + 1) <- k
+  done;
+  if n = 0 then 0
+  else begin
+    let w = ref lo in
+    for i = lo + 1 to lo + n - 1 do
+      if keys.(i) <> keys.(!w) then begin
+        incr w;
+        keys.(!w) <- keys.(i)
+      end
+    done;
+    !w - lo + 1
+  end
+
+(* A first pass over the raw lists sizes the slices and finds [base] and
+   the minT bindings; a second writes the keys into an array of exactly
+   the bindings' count. *)
+let layout substs =
+  let substs = Array.of_list substs in
+  let n = Array.length substs in
+  let off = grab s_off (n + 1) 0 and min_var = grab s_min_var n 0 in
+  let min_seq = grab s_min_seq n (-1) and min_t = grab s_min_t n 0 in
+  let top = ref 0 in
+  for i = 0 to n - 1 do
+    off.(i + 1) <- off.(i) + List.length substs.(i);
+    top := scan_bindings min_var min_seq min_t i !top substs.(i)
+  done;
+  let base = !top + 1 in
+  let keys = grab s_keys off.(n) 0 and top_key = ref (-1) in
+  let len = grab s_len n 0 and min_key = grab s_min_key n (-1) in
+  for i = 0 to n - 1 do
+    top_key := write_keys keys base off.(i) !top_key substs.(i);
+    len.(i) <- sort_slice keys off.(i) (off.(i + 1) - off.(i));
+    if min_seq.(i) >= 0 then min_key.(i) <- (min_var.(i) * base) + min_seq.(i)
+  done;
+  { substs; base; space = !top_key + 1; keys; off; len; min_key; min_t }
+
+(* Spreads an int's bits for the open-addressed tables below, whose
+   slot is the hash's low bits. *)
+let mix k =
+  let h = k * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land max_int
+
+let rec hash_keys (keys : int array) h j stop =
+  if j = stop then h else hash_keys keys ((h * 31) + keys.(j)) (j + 1) stop
+
+let slice_hash l i =
+  mix (hash_keys l.keys l.len.(i) l.off.(i) (l.off.(i) + l.len.(i)))
+
+let rec equal_from (keys : int array) a b k n =
+  k = n || (keys.(a + k) = keys.(b + k) && equal_from keys a b (k + 1) n)
+
+let slices_equal l i j =
+  l.len.(i) = l.len.(j) && equal_from l.keys l.off.(i) l.off.(j) 0 l.len.(i)
+
+(* Whether the sorted keys [a, a_end) are a subset of [b, b_end). *)
+let rec subset_from (keys : int array) a a_end b b_end =
+  a = a_end
+  || b_end - b >= a_end - a
+     &&
+     let x = keys.(a) and y = keys.(b) in
+     if x = y then subset_from keys (a + 1) a_end (b + 1) b_end
+     else x > y && subset_from keys a a_end (b + 1) b_end
+
+let slice_subset l i j =
+  subset_from l.keys l.off.(i)
+    (l.off.(i) + l.len.(i))
+    l.off.(j)
+    (l.off.(j) + l.len.(j))
+
+let rec mem_from (keys : int array) k lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let c = Int.compare keys.(mid) k in
+  c = 0 || if c < 0 then mem_from keys k (mid + 1) hi else mem_from keys k lo mid
+
+let slice_mem l i k = mem_from l.keys k l.off.(i) (l.off.(i) + l.len.(i))
 
 (* Lexicographic, a proper prefix first: [compare_canonical] on the
-   unpacked forms. *)
-let compare_keys a b =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i =
-    if i = na || i = nb then Int.compare na nb
-    else
-      let c = Int.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+   canonical forms. *)
+let rec compare_from (keys : int array) a na b nb k =
+  if k = na || k = nb then Int.compare na nb
+  else
+    let c = Int.compare keys.(a + k) keys.(b + k) in
+    if c <> 0 then c else compare_from keys a na b nb (k + 1)
 
-let subset_keys a b =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    i = na
-    || (nb - j >= na - i
-       &&
-       let x = a.(i) and y = b.(j) in
-       if x = y then go (i + 1) (j + 1) else x > y && go i (j + 1))
-  in
-  go 0 0
+let compare_slices l i j =
+  compare_from l.keys l.off.(i) l.len.(i) l.off.(j) l.len.(j) 0
 
-let mem_keys a k =
-  let rec go lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let c = Int.compare a.(mid) k in
-    c = 0 || if c < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+let pow2_above n =
+  let rec go c = if c >= n then c else go (2 * c) in
+  go 64
 
-(* Deduplication hashes every key of the packed form. *)
-module Packed_tbl = Hashtbl.Make (struct
-  type t = int array
+(* The first candidate of each canonical form, in input order, into
+   [cands]: slices hashed into an open-addressed table of candidate
+   indices (-1 when free); returns how many. [distinct_slot] finds the
+   free slot for [i]'s slice, or -1 when an equal slice holds one
+   already. *)
+let rec distinct_slot l table mask i h =
+  match table.(h) with
+  | -1 -> h
+  | j -> if slices_equal l i j then -1 else distinct_slot l table mask i ((h + 1) land mask)
 
-  let equal a b = compare_keys a b = 0
+let distinct l cands =
+  let n = Array.length l.substs in
+  let cap = pow2_above (2 * n) in
+  let table = grab s_table cap (-1) and mask = cap - 1 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    match distinct_slot l table mask i (slice_hash l i land mask) with
+    | -1 -> ()
+    | h ->
+        table.(h) <- i;
+        cands.(!k) <- i;
+        incr k
+  done;
+  !k
 
-  let hash a = Array.fold_left (fun h k -> (h * 31) + k) 0 a
-end)
+(* Dense ids 0, 1, … for at most [bound] distinct keys in [0, space), in
+   order of first sight. A key space no larger than [budget] maps
+   through one array, the id per key (-1 when unseen); a larger one
+   through an open-addressed table of keys (-1 when free), [ids] holding
+   each slot's id, at most half full. *)
+type dense = {
+  direct : bool;
+  slots : int array;
+  ids : int array;
+  mask : int;
+  mutable n : int;
+}
 
-module Int_tbl = Hashtbl.Make (Int)
+let dense_create ~space ~budget ~bound =
+  if space <= budget then
+    { direct = true; slots = grab s_dense space (-1); ids = [||]; mask = 0; n = 0 }
+  else
+    let cap = pow2_above (2 * bound) in
+    {
+      direct = false;
+      slots = grab s_dense cap (-1);
+      ids = grab s_dense_ids cap 0;
+      mask = cap - 1;
+      n = 0;
+    }
 
-(* One counted posting array per distinct key: the ids of the candidates
-   holding it, ascending. *)
-type posting = { mutable len : int; mutable ids : int array }
+(* The slot holding [k], or the free slot where it goes. *)
+let rec dense_probe (slots : int array) mask k h =
+  let k' = slots.(h) in
+  if k' = -1 || k' = k then h else dense_probe slots mask k ((h + 1) land mask)
 
-let survivors keep cands =
-  let out = ref [] in
-  Array.iteri (fun i a -> if keep i then out := a :: !out) cands;
-  !out
+let fresh_id d =
+  d.n <- d.n + 1;
+  d.n - 1
+
+let dense_id d k =
+  if d.direct then begin
+    let id = d.slots.(k) in
+    if id >= 0 then id
+    else begin
+      let id = fresh_id d in
+      d.slots.(k) <- id;
+      id
+    end
+  end
+  else
+    let h = dense_probe d.slots d.mask k (mix k land d.mask) in
+    if d.slots.(h) = k then d.ids.(h)
+    else begin
+      d.slots.(h) <- k;
+      d.ids.(h) <- fresh_id d;
+      d.ids.(h)
+    end
+
+(* Postings in one array: group [g]'s members are
+   [post.(start.(g)) .. post.(start.(g + 1) - 1)], ascending. Member [r]
+   (of [n_members]) is [member r], whose groups are
+   [group.(member_off m)] onwards, [member_len m] of them; the pass
+   counts, then takes prefix sums for the starts, then fills. *)
+let postings ~n_groups ~group ~member_off ~member_len ~n_members ~member =
+  let start = grab s_start (n_groups + 1) 0 in
+  for r = 0 to n_members - 1 do
+    let m = member r in
+    for j = member_off m to member_off m + member_len m - 1 do
+      start.(group.(j) + 1) <- start.(group.(j) + 1) + 1
+    done
+  done;
+  for g = 1 to n_groups do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let post = grab s_post start.(n_groups) 0 in
+  let next = grab s_next n_groups 0 in
+  Array.blit start 0 next 0 n_groups;
+  for r = 0 to n_members - 1 do
+    let m = member r in
+    for j = member_off m to member_off m + member_len m - 1 do
+      let g = group.(j) in
+      post.(next.(g)) <- r;
+      next.(g) <- next.(g) + 1
+    done
+  done;
+  (start, post)
+
+(* Numbers the [d] candidates [cands] by ascending slice length, ties in
+   input order: a counting sort. *)
+let by_size l cands d =
+  let largest = ref 0 in
+  for i = 0 to d - 1 do
+    largest := Int.max !largest l.len.(cands.(i))
+  done;
+  let next = Array.make (!largest + 2) 0 in
+  for i = 0 to d - 1 do
+    let s = l.len.(cands.(i)) + 1 in
+    next.(s) <- next.(s) + 1
+  done;
+  for s = 1 to !largest + 1 do
+    next.(s) <- next.(s) + next.(s - 1)
+  done;
+  let order = grab s_order d 0 in
+  for i = 0 to d - 1 do
+    let c = cands.(i) in
+    order.(next.(l.len.(c))) <- c;
+    next.(l.len.(c)) <- next.(l.len.(c)) + 1
+  done;
+  order
+
+(* Whether some candidate in the posting [post.(lo) .. post.(k)] — rank
+   numbers, ascending by size — is larger than [c] and holds it. *)
+let rec superset l order post lo c k =
+  k >= lo
+  &&
+  let d = order.(post.(k)) in
+  l.len.(d) > l.len.(c) && (slice_subset l c d || superset l order post lo c (k - 1))
 
 (* Operational: γ is dropped when another candidate strictly contains it.
    Every strict superset of γ holds each of γ's keys, so the posting of
-   γ's rarest key — a minimum over |γ| stored lengths — is a complete
+   γ's rarest key — a minimum over |γ| posting lengths — is a complete
    suspect set. Candidates are numbered by ascending size, so the strict
    supersets sit in the posting's tail: the scan walks it backwards and
    stops at the first candidate no larger than γ, and each suspect costs
-   one merge. *)
-let operational_survivors cands =
-  let size a = Array.length a.keys in
-  Array.sort (fun a b -> Int.compare (size a) (size b)) cands;
-  let index = Int_tbl.create (Array.length cands) in
-  let postings =
-    Array.map
-      (fun a ->
-        Array.map
-          (fun k ->
-            match Int_tbl.find_opt index k with
-            | Some p ->
-                p.len <- p.len + 1;
-                p
-            | None ->
-                let p = { len = 1; ids = [||] } in
-                Int_tbl.add index k p;
-                p)
-          a.keys)
-      cands
+   one merge of two slices. *)
+let operational_survivors l cands d =
+  let order = by_size l cands d in
+  let largest = l.len.(order.(d - 1)) in
+  let total = l.off.(Array.length l.substs) in
+  (* Every key of a numbered candidate as a dense id, at the key's own
+     position in [l.keys]. *)
+  let ids = grab s_ids total 0 in
+  let dense = dense_create ~space:l.space ~budget:total ~bound:total in
+  for r = 0 to d - 1 do
+    let c = order.(r) in
+    for j = l.off.(c) to l.off.(c) + l.len.(c) - 1 do
+      ids.(j) <- dense_id dense l.keys.(j)
+    done
+  done;
+  let start, post =
+    postings ~n_groups:dense.n ~group:ids
+      ~member_off:(fun c -> l.off.(c))
+      ~member_len:(fun c -> l.len.(c))
+      ~n_members:d
+      ~member:(fun r -> order.(r))
   in
-  Int_tbl.iter
-    (fun _ p ->
-      p.ids <- Array.make p.len 0;
-      p.len <- 0)
-    index;
-  Array.iteri
-    (fun i ps ->
-      Array.iter
-        (fun p ->
-          p.ids.(p.len) <- i;
-          p.len <- p.len + 1)
-        ps)
-    postings;
-  let largest = size cands.(Array.length cands - 1) in
-  survivors
-    (fun i ->
-      let a = cands.(i) in
-      let n = size a in
-      (* The empty substitution is a strict subset of any non-empty one. *)
-      if n = 0 then largest = 0
-      else
-        let ps = postings.(i) in
-        let rarest =
-          Array.fold_left (fun r p -> if p.len < r.len then p else r) ps.(0) ps
-        in
-        let rec superset k =
-          k >= 0
-          &&
-          let b = cands.(rarest.ids.(k)) in
-          size b > n && (subset_keys a.keys b.keys || superset (k - 1))
-        in
-        not (superset (rarest.len - 1)))
-    cands
+  let kept = ref [] in
+  for r = 0 to d - 1 do
+    let c = order.(r) in
+    let n = l.len.(c) in
+    (* The empty substitution is a strict subset of any non-empty one. *)
+    if n = 0 then (if largest = 0 then kept := c :: !kept)
+    else begin
+      let rarest = ref ids.(l.off.(c)) in
+      for j = l.off.(c) + 1 to l.off.(c) + n - 1 do
+        let g = ids.(j) in
+        if start.(g + 1) - start.(g) < start.(!rarest + 1) - start.(!rarest)
+        then rarest := g
+      done;
+      let g = !rarest in
+      if not (superset l order post start.(g) c (start.(g + 1) - 1)) then
+        kept := c :: !kept
+    end
+  done;
+  !kept
+
+(* Whether no candidate of the group [post.(k) .. post.(stop - 1)] —
+   indices into [cands] — is larger than [c] and holds it. *)
+let rec maximal l cands post c k stop =
+  k = stop
+  ||
+  let d = cands.(post.(k)) in
+  (l.len.(d) <= l.len.(c) || not (slice_subset l c d))
+  && maximal l cands post c (k + 1) stop
 
 (* Literal: condition 5 compares only candidates sharing a minT binding,
-   grouped by its packed key; condition 4's membership test is a binary
-   search in γ's packed form. *)
-let literal_survivors ~base cands =
-  let groups = Int_tbl.create (Array.length cands) in
-  Array.iteri
-    (fun i a ->
-      let l = Option.value ~default:[] (Int_tbl.find_opt groups a.min_key) in
-      Int_tbl.replace groups a.min_key (i :: l))
-    cands;
-  let by_var = bindings_by_var (Array.map (fun a -> a.subst) cands) in
-  survivors
-    (fun i ->
-      let a = cands.(i) in
-      let n = Array.length a.keys in
-      List.for_all
-        (fun j ->
-          let b = cands.(j).keys in
-          Array.length b <= n || not (subset_keys a.keys b))
-        (Int_tbl.find groups a.min_key)
+   grouped by its key; condition 4's membership test is a binary search
+   in γ's slice. *)
+let literal_survivors l cands d =
+  let total = l.off.(Array.length l.substs) in
+  let dense = dense_create ~space:(l.space + 1) ~budget:total ~bound:d in
+  (* [min_key] is -1 for the empty substitution. *)
+  let group = grab s_group d 0 in
+  for i = 0 to d - 1 do
+    group.(i) <- dense_id dense (l.min_key.(cands.(i)) + 1)
+  done;
+  let start, post =
+    postings ~n_groups:dense.n ~group ~member_off:Fun.id
+      ~member_len:(fun _ -> 1)
+      ~n_members:d ~member:Fun.id
+  in
+  let by_var = bindings_by_var (Array.init d (fun i -> l.substs.(cands.(i)))) in
+  let kept = ref [] in
+  for i = 0 to d - 1 do
+    let c = cands.(i) and g = group.(i) in
+    if
+      maximal l cands post c start.(g) start.(g + 1)
       && skip_till_pairs_ok ~by_var
-           ~in_subst:(fun v seq -> mem_keys a.keys ((v * base) + seq))
-           a.subst)
-    cands
+           ~in_subst:(fun v seq -> slice_mem l c ((v * l.base) + seq))
+           l.substs.(c)
+    then kept := c :: !kept
+  done;
+  !kept
+
+(* Output order: minT, the empty substitution first, then canonical
+   form. *)
+let compare_output l a b =
+  let c =
+    match (l.min_key.(a), l.min_key.(b)) with
+    | -1, -1 -> 0
+    | -1, _ -> -1
+    | _, -1 -> 1
+    | _ -> Time.compare l.min_t.(a) l.min_t.(b)
+  in
+  if c <> 0 then c else compare_slices l a b
 
 let finalize ?(policy = Operational) p substs =
   ignore p;
   match substs with
   | [] -> []
   | _ ->
-      let base =
-        1
-        + List.fold_left
-            (List.fold_left (fun m (_, e) -> Int.max m (Event.seq e)))
-            0 substs
-      in
-      let seen = Packed_tbl.create (List.length substs) in
-      let cands =
-        Array.of_list
-          (List.filter_map
-             (fun s ->
-               let a = pack ~base s in
-               if Packed_tbl.mem seen a.keys then None
-               else begin
-                 Packed_tbl.add seen a.keys ();
-                 Some a
-               end)
-             substs)
-      in
+      let l = layout substs in
+      let cands = grab s_cands (Array.length l.substs) 0 in
+      let d = distinct l cands in
       let kept =
         match policy with
-        | Operational -> operational_survivors cands
-        | Literal -> literal_survivors ~base cands
+        | Operational -> operational_survivors l cands d
+        | Literal -> literal_survivors l cands d
       in
-      List.map
-        (fun a -> a.subst)
-        (List.sort
-           (fun a b ->
-             let c = Option.compare Time.compare a.min_t b.min_t in
-             if c <> 0 then c else compare_keys a.keys b.keys)
-           kept)
+      List.map (fun c -> l.substs.(c)) (List.sort (compare_output l) kept)
 
 let pp p ppf subst =
   let items =

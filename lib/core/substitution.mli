@@ -21,9 +21,9 @@ type t = binding list
 
 val canonical : t -> (int * int) list
 (** Sorted (variable id, event sequence number) pairs — the set identity of
-    a substitution. {!finalize} computes an equivalent packed form once per
-    candidate rather than once per comparison; callers holding many
-    substitutions should likewise compute this once each. *)
+    a substitution. {!finalize} computes an equivalent slice of int keys
+    once per candidate rather than once per comparison; callers holding
+    many substitutions should likewise compute this once each. *)
 
 val compare_canonical : (int * int) list -> (int * int) list -> int
 (** Lexicographic order over canonical forms (pairs compared by variable
@@ -116,20 +116,26 @@ val finalize : ?policy:policy -> Pattern.t -> t list -> t list
     (minT, canonical) for deterministic output; when raw candidates share a
     canonical form, the first one in the input is returned.
 
-    Each raw candidate is annotated once: its canonical form packed into a
-    sorted, duplicate-free [int array] of keys [var * base + seq] ([base]
-    is one more than the largest sequence number among the candidates, so
-    the array order is {!compare_canonical}'s), and its minT binding packed
-    the same way. Deduplication hashes the whole packed array.
-    [Operational] subsumption keeps, for every binding, a counted posting
-    array of the candidates holding it: every strict superset of γ holds
-    γ's rarest binding, found as a minimum over |γ| stored lengths.
-    Candidates are numbered by ascending size, so only the posting's tail
-    of larger candidates is scanned, at one merge of two int arrays per
-    suspect.
-    [Literal] maximality compares only within groups sharing a packed minT
-    binding, and its skip-till-next check tests membership by binary
-    search in the packed array. The empty input returns [[]] at once. *)
+    Finalization reads one flat layout. A first pass over the raw
+    candidates notes their lengths, minT bindings and the largest
+    sequence number; a second writes every binding as the key
+    [var * base + seq] ([base] is one more than that number) into a
+    single [int array] of exactly the bindings' count, each candidate
+    owning a slice that is then sorted in place and stripped of repeats,
+    so slice order is {!compare_canonical}'s. Deduplication hashes the
+    slices into an open-addressed table. [Operational] subsumption
+    numbers the distinct candidates by ascending size (a stable counting
+    sort), maps keys to dense ids and builds every key's posting — the
+    candidates holding it, ascending — in one array: every strict
+    superset of γ holds γ's rarest key, found as a minimum over |γ|
+    posting lengths, and only the posting's tail of larger candidates is
+    scanned, at one merge of two slices per suspect. [Literal] maximality
+    compares only within groups sharing a minT binding, and its
+    skip-till-next check tests membership by binary search in the slice.
+    The empty input returns [[]] at once. The int arrays are reused from
+    one call to the next on the same domain, each kept up to a bound, so
+    a process that finalizes many small inputs in a row leaves no
+    garbage in the major heap. *)
 
 val pp : Pattern.t -> Format.formatter -> t -> unit
 (** Prints like the paper, e.g. [{c/e1, d/e3, p+/e4, p+/e9, b/e12}]. *)

@@ -3,9 +3,9 @@
    raw emissions, same finalized matches, same metrics — across the
    option grid (constant pre-check on/off, both finalize policies), on
    the default random workloads and on keyed ones, whose joins split
-   states into per-key sub-buckets. The packed finalize pipeline is
-   likewise checked against a direct transcription of Definition 2's
-   conditions 4-5. *)
+   states into per-key sub-buckets. Run-class streams are checked
+   against the per-instance path, and the flat-array finalize pipeline
+   against a direct transcription of Definition 2's conditions 4-5. *)
 
 open Ses_core
 open Ses_gen
@@ -283,6 +283,223 @@ let population_counter_consistent =
               = List.fold_left (fun acc (_, n) -> acc + n) 0 by_state)
             (Ses_event.Relation.to_seq r)))
 
+(* ---- Run classes ----
+
+   A run-class stream must read exactly like the per-instance path: per
+   step (an event, or a chunk), the same multiset of raw emissions and
+   the same whole [Metrics.snapshot] — [instances_expired] and the
+   sampled [max_simultaneous_instances] included. The per-instance
+   reference turns the constant pre-check off, which rules classes out;
+   the flat pool is a second reference for the per-event feed, whose
+   population is sampled per event on both sides. *)
+
+let parse text = Ses_lang.Lang.parse_pattern_exn Random_workload.schema text
+
+let class_pattern_spec =
+  { Random_workload.default_pattern with Random_workload.p_id_join = 0.0 }
+
+(* min_gap = 0 puts equal timestamps on set boundaries, where the order
+   constraint v.T > u.T fails for some cohorts and not others. *)
+let tied_relation_spec =
+  { Random_workload.default_relation with min_gap = 0; max_gap = 3 }
+
+let event_list r = List.of_seq (Ses_event.Relation.to_seq r)
+
+(* Feeds [events] one by one ([None]) or in chunks of [k], then advances
+   the clock past the last event and closes: each step's raw emissions
+   (canonical, sorted) with the metrics after it. *)
+let drive st tau events chunking =
+  let steps =
+    match chunking with
+    | None -> List.map (fun e -> `Event e) events
+    | Some k ->
+        let rec cut = function
+          | [] -> []
+          | es ->
+              let chunk = List.filteri (fun i _ -> i < k) es in
+              `Chunk (Array.of_list chunk)
+              :: cut (List.filteri (fun i _ -> i >= k) es)
+        in
+        cut events
+  in
+  let last =
+    List.fold_left (fun _ e -> Ses_event.Event.ts e) 0 events
+  in
+  let observe raw =
+    let raw = canon_sorted raw in
+    (raw, Engine.metrics st)
+  in
+  let fed =
+    List.map
+      (function
+        | `Event e -> observe (Engine.feed st e)
+        | `Chunk c -> observe (Engine.feed_batch st c))
+      steps
+  in
+  let advanced = observe (Engine.advance st (last + (tau / 2))) in
+  fed @ [ advanced; observe (Engine.close st) ]
+
+let per_instance = { Engine.default_options with Engine.precheck_constants = false }
+
+let flat = { Engine.default_options with Engine.store = Engine.Flat }
+
+let chunkings = [ None; Some 1; Some 7; Some 64 ]
+
+(* [pat] with a reflexive condition x.ID = x.ID on its first variable.
+   It holds on every event, pins nothing and arms no dead check, so every
+   walk decision stays as it was; but it is not constant, so the twin
+   runs per instance with the constant pre-check on. A batch pops only
+   the states its events walk, and with the pre-check off it walks more
+   of them, so the twin is the per-instance stream whose batched
+   population peak the class stream must match. *)
+let per_instance_twin pat =
+  let text = Ses_lang.Lang.to_query pat in
+  let x = (Ses_pattern.Pattern.variable pat 0).Ses_pattern.Variable.name in
+  (* [to_query] ends with a line "WITHIN n". *)
+  let within = String.rindex text '\n' in
+  let join =
+    Printf.sprintf "%s %s.ID = %s.ID"
+      (if Ses_pattern.Pattern.conditions pat = [] then "\nWHERE" else " AND")
+      x x
+  in
+  parse
+    (String.sub text 0 within ^ join
+    ^ String.sub text within (String.length text - within))
+
+(* The invariants of a batched run against any chunking of the same
+   events: each step's raw multiset, and the expiries at its end. *)
+let invariants steps =
+  List.map (fun (raw, m) -> (raw, m.Metrics.instances_expired)) steps
+
+(* The class stream against its per-instance twin at every chunking,
+   against the pre-check-off path in its invariants at every chunking
+   and whole per event, and against the flat pool per event. *)
+let classes_agree pat events =
+  let automaton = Automaton.of_pattern pat in
+  let twin = Automaton.of_pattern (per_instance_twin pat) in
+  let tau = Automaton.tau automaton in
+  let run ?(automaton = automaton) options chunking =
+    drive (Engine.create ~options automaton) tau events chunking
+  in
+  Engine.runs_classes automaton
+  && (not (Engine.runs_classes twin))
+  && List.for_all
+       (fun chunking ->
+         let classes = run Engine.default_options chunking in
+         let unchecked = run per_instance chunking in
+         classes = run ~automaton:twin Engine.default_options chunking
+         && invariants classes = invariants unchecked
+         &&
+         match chunking with
+         | None -> classes = unchecked && classes = run flat chunking
+         | Some _ -> true)
+       chunkings
+
+let classes_agree_on_random_patterns =
+  QCheck.Test.make ~count:120 ~name:"run classes = per-instance path"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let pat = Random_workload.pattern rng class_pattern_spec in
+      let r = Random_workload.relation rng tied_relation_spec in
+      classes_agree pat (event_list r))
+
+(* Constant NOT guards: between sets, trailing, and both. *)
+let guarded_patterns =
+  List.map parse
+    [
+      "PATTERN (x, y+) -> NOT (n) -> (z) WHERE x.L = 'a' AND y.L = 'b' \
+       AND n.L = 'c' AND z.L = 'a' WITHIN 14";
+      "PATTERN (x) -> (y+) -> NOT (n) WHERE x.L = 'a' AND y.L = 'b' \
+       AND n.L = 'c' AND n.V >= 2 WITHIN 10";
+      "PATTERN (x) -> NOT (n) -> (y, z+) -> NOT (m) WHERE x.L = 'a' \
+       AND n.V = 5 AND y.L = 'b' AND z.L <> 'b' AND m.L = 'a' WITHIN 16";
+    ]
+
+let classes_agree_on_guards =
+  QCheck.Test.make ~count:90 ~name:"run classes = per-instance path (NOT guards)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let pat =
+        List.nth guarded_patterns (seed mod List.length guarded_patterns)
+      in
+      let r = Random_workload.relation rng tied_relation_spec in
+      classes_agree pat (event_list r))
+
+(* What some condition or quantifier can tell apart stays per instance,
+   and so does every stream whose options rule classes out. *)
+let classes_eligibility () =
+  let runs ?options text =
+    Engine.runs_classes ?options (Automaton.of_pattern (parse text))
+  in
+  let p3_like =
+    "PATTERN (c, d, p+) -> (b) WHERE c.L = 'a' AND d.L = 'a' AND p.L = 'a' \
+     AND b.L = 'b' WITHIN 10"
+  in
+  Alcotest.(check bool) "constants only" true (runs p3_like);
+  Alcotest.(check bool) "no constant pre-check" false
+    (runs ~options:per_instance p3_like);
+  Alcotest.(check bool) "flat pool" false (runs ~options:flat p3_like);
+  List.iter
+    (fun (name, text) -> Alcotest.(check bool) name false (runs text))
+    [
+      ("quantifier maximum", "PATTERN (x{1,3}) -> (y) WHERE x.L = 'a' WITHIN 10");
+      ("minimum above 1", "PATTERN (x{2,}) -> (y) WHERE x.L = 'a' WITHIN 10");
+      ("var-var V", "PATTERN (x) -> (y) WHERE x.V > y.V WITHIN 10");
+      ("ID join", "PATTERN (x, y) WHERE x.ID = y.ID WITHIN 10");
+      ( "guard join",
+        "PATTERN (x) -> NOT (n) -> (y) WHERE n.ID = x.ID WITHIN 10" );
+    ]
+
+(* An observer installed on a class stream that holds members turns it
+   into a per-instance stream: its members become instances, and from
+   then on it narrates, emits and counts exactly what the per-instance
+   path does. *)
+let observation_repr obs =
+  let buffer b = List.map (fun (v, e) -> (v, Ses_event.Event.seq e)) b in
+  let seq = Ses_event.Event.seq in
+  match obs with
+  | Engine.Created e -> ("created", seq e, [])
+  | Engine.Took { event; buffer = b; _ } -> ("took", seq event, buffer b)
+  | Engine.Pruned { event; buffer = b; _ } -> ("pruned", seq event, buffer b)
+  | Engine.Ignored { event; buffer = b; _ } -> ("ignored", seq event, buffer b)
+  | Engine.Expired { event; buffer = b; _ } -> ("expired", seq event, buffer b)
+  | Engine.Killed { event; buffer = b; _ } -> ("killed", seq event, buffer b)
+  | Engine.Emitted b -> ("emitted", -1, buffer b)
+
+let observer_switches_classes =
+  QCheck.Test.make ~count:60 ~name:"an observer turns a class stream per-instance"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.create (Int64.of_int seed) in
+      let pat =
+        if seed mod 3 = 0 then
+          List.nth guarded_patterns (seed mod List.length guarded_patterns)
+        else Random_workload.pattern rng class_pattern_spec
+      in
+      let automaton = Automaton.of_pattern pat in
+      let events = event_list (Random_workload.relation rng tied_relation_spec) in
+      let half = List.length events / 2 in
+      let run options =
+        let st = Engine.create ~options automaton in
+        let seen = ref [] in
+        List.iteri
+          (fun i e ->
+            if i = half then begin
+              let before = Engine.population_by_state st in
+              Engine.set_observer st
+                (Some (fun obs -> seen := observation_repr obs :: !seen));
+              assert (before = Engine.population_by_state st)
+            end;
+            ignore (Engine.feed st e))
+          events;
+        ignore (Engine.close st);
+        (List.rev !seen, canon_sorted (Engine.emitted st), Engine.metrics st)
+      in
+      Engine.runs_classes automaton
+      && run Engine.default_options = run per_instance)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -306,4 +523,8 @@ let suite =
           ~name:"keyed store metrics = flat store metrics"
           Helpers.with_keyed_workload;
         keyed_batches_agree;
+        classes_agree_on_random_patterns;
+        classes_agree_on_guards;
+        observer_switches_classes;
       ]
+  @ [ Alcotest.test_case "run-class eligibility" `Quick classes_eligibility ]

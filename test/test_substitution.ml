@@ -137,13 +137,64 @@ let test_finalize_sorted () =
   Alcotest.(check (option int)) "earliest first" (Some 0)
     (Substitution.min_ts (List.hd out))
 
-(* Finalize packs a binding as var * base + seq, with base one past the
-   largest sequence number: variable v holding the last event and v + 1
-   holding the first must stay two distinct candidates. *)
+(* Finalize lays every binding out as the key var * base + seq, with
+   base one past the largest sequence number, in one array of per-
+   candidate slices. *)
 let test_finalize_key_boundary () =
+  (* Sequence numbers 0..3, so base = 4: a holding the last event keys
+     to one below g (= a + 1) holding the first. Two one-binding
+     candidates, distinct, in minT order. *)
   let last = [ (a, ev 3 "a" 5) ] and first = [ (a + 1, ev 0 "g" 0) ] in
-  Alcotest.(check int) "both kept" 2
-    (List.length (Substitution.finalize p [ last; first ]))
+  check_substs p [ [ ("a", 4) ]; [ ("g+", 1) ] ]
+    (Substitution.finalize p [ last; first ]);
+  Alcotest.(check (list (option int)))
+    "minT order" [ Some 0; Some 5 ]
+    (List.map Substitution.min_ts (Substitution.finalize p [ last; first ]));
+  (* A one-binding candidate inside a larger one is dropped. *)
+  check_substs p
+    [ [ ("a", 1); ("g+", 2); ("g+", 3); ("z", 4) ] ]
+    (Substitution.finalize p [ [ (g, e_g1) ]; full ]);
+  (* A candidate that repeats a binding is its set of bindings: it
+     deduplicates against the set written once (the first in the input
+     is returned), and only a strict superset drops it. *)
+  let repeated = [ (a, e_a); (z, e_z); (a, e_a) ] in
+  let once = [ (a, e_a); (z, e_z) ] in
+  List.iter
+    (fun policy ->
+      Alcotest.(check int) "repeat deduplicated" 3
+        (List.length
+           (List.hd (Substitution.finalize ~policy p [ repeated; once ])));
+      check_substs p
+        [ [ ("a", 1); ("g+", 2); ("g+", 3); ("z", 4) ] ]
+        (Substitution.finalize ~policy p [ repeated; full ]))
+    [ Substitution.Operational; Substitution.Literal ]
+
+(* Finalize reuses its int arrays from call to call, and keeps none
+   longer than a bound: a call after larger ones, whose arrays hold
+   stale keys, returns what it returned first, and a call past the bound
+   (24,000 keys) is exact too. *)
+let test_finalize_reuse () =
+  let small = [ [ (g, e_g1) ]; full; [ (a, e_a); (z, e_z) ] ] in
+  let pairs k =
+    List.init k (fun i ->
+        [ (a, ev (2 * i) "a" (2 * i)); (z, ev ((2 * i) + 1) "z" ((2 * i) + 1)) ])
+  in
+  List.iter
+    (fun policy ->
+      let first = Substitution.finalize ~policy p small in
+      List.iter
+        (fun k ->
+          let out = Substitution.finalize ~policy p (pairs k) in
+          Alcotest.(check int) "pairwise distinct, all kept" k (List.length out);
+          Alcotest.(check (option int))
+            "latest last"
+            (Some (2 * (k - 1)))
+            (Substitution.min_ts (List.nth out (k - 1)));
+          Alcotest.(check bool) "small again" true
+            (List.equal Substitution.equal first
+               (Substitution.finalize ~policy p small)))
+        [ 3_000; 12_000; 50 ])
+    [ Substitution.Operational; Substitution.Literal ]
 
 let test_pp () =
   Alcotest.(check string) "rendering" "{a/e1, g+/e2, g+/e3, z/e4}"
@@ -163,7 +214,9 @@ let suite =
     Alcotest.test_case "finalize: literal minT restriction" `Quick
       test_finalize_literal_minT_restriction;
     Alcotest.test_case "finalize: deterministic order" `Quick test_finalize_sorted;
-    Alcotest.test_case "finalize: packed key boundary" `Quick
+    Alcotest.test_case "finalize: flat key boundary" `Quick
       test_finalize_key_boundary;
+    Alcotest.test_case "finalize: arrays reused across calls" `Quick
+      test_finalize_reuse;
     Alcotest.test_case "pp" `Quick test_pp;
   ]
